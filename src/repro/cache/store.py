@@ -26,7 +26,9 @@ amortization safe at sweep scale:
   process restarts.
 * **Observability.**  Hit/miss/write/evict/corrupt counters, persisted
   cumulatively to ``stats.json`` so ``repro-azul cache stats`` can
-  report across processes.
+  report across processes.  Each flush's read-modify-write of
+  ``stats.json`` holds an exclusive ``fcntl`` lock on
+  ``stats.json.lock``, so processes sharing a cache never lose counts.
 
 Environment knobs
 -----------------
@@ -41,6 +43,8 @@ Environment knobs
 from __future__ import annotations
 
 import atexit
+import contextlib
+import fcntl
 import json
 import os
 import tempfile
@@ -54,6 +58,7 @@ from pathlib import Path
 import repro.obs as obs
 from repro.cache.keys import content_checksum, stable_digest
 from repro.cache.serializers import Serializer
+from repro.config import ENV_CACHE_DIR
 
 #: Schema version of the on-disk entry layout.  Bump on incompatible
 #: changes; entries with a different schema are treated as misses.
@@ -67,8 +72,8 @@ META_SUFFIX = ".meta.json"
 TMP_PREFIX = ".tmp-"
 QUARANTINE_DIRNAME = "quarantine"
 STATS_FILENAME = "stats.json"
+STATS_LOCK_FILENAME = "stats.json.lock"
 
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 ENV_DISABLE = "REPRO_CACHE_DISABLE"
 
@@ -86,6 +91,17 @@ _FLUSH_EVERY = 32
 def default_cache_root() -> Path:
     """Repository-level ``.cache/`` (next to ``src/``)."""
     return Path(__file__).resolve().parents[3] / ".cache"
+
+
+@contextlib.contextmanager
+def _exclusive_lock(path: Path):
+    """Hold an exclusive inter-process ``flock`` on ``path``."""
+    with open(path, "a+b") as handle:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
 def _env_truthy(value) -> bool:
@@ -532,9 +548,11 @@ class ArtifactCache:
         removed, freed = 0, 0
         with self._lock:
             if self.root.exists():
+                # The lock file stays: a process may hold it right now.
                 targets = [
                     p for p in self.root.rglob("*")
-                    if p.is_file() and p.name != STATS_FILENAME
+                    if p.is_file() and p.name not in (
+                        STATS_FILENAME, STATS_LOCK_FILENAME)
                 ]
                 for path in targets:
                     try:
@@ -626,14 +644,16 @@ class ArtifactCache:
             self._unflushed = CacheStats()
             self._unflushed_events = 0
             try:
-                persisted = self.persisted_stats()
-                merged = persisted.merged(delta)
                 self.root.mkdir(parents=True, exist_ok=True)
-                self._atomic_write(
-                    self._stats_path(),
-                    json.dumps(merged.as_dict(), sort_keys=True,
-                               indent=2).encode("utf-8"),
-                )
+                # Other processes flush into the same file: hold the
+                # lock across the read, the merge and the write.
+                with _exclusive_lock(self.root / STATS_LOCK_FILENAME):
+                    merged = self.persisted_stats().merged(delta)
+                    self._atomic_write(
+                        self._stats_path(),
+                        json.dumps(merged.as_dict(), sort_keys=True,
+                                   indent=2).encode("utf-8"),
+                    )
             except OSError:
                 pass  # stats are best-effort; never fail the caller
 

@@ -195,7 +195,7 @@ def cmd_simulate(args):
 
 
 def cmd_experiment(args):
-    from repro.experiments import run_experiment
+    from repro.experiments.runner import run_experiment
 
     print(run_experiment(args.id, jobs=getattr(args, "jobs", None)))
     return 0

@@ -18,7 +18,7 @@ constraints combine SRAM bytes with the temporal depth quantiles of
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -38,31 +38,37 @@ DEFAULT_ROW_WEIGHT = 2.0
 
 def _matrix_edges(matrix: CSRMatrix, nnz_offset: int, vec_offset: int,
                   row_weight: float):
-    """Row and column hyperedges of one matrix, as (pins, weight) pairs."""
+    """Row and column hyperedges of one matrix, as flat arrays.
+
+    Returns ``(pins, sizes, weights)``: the row edges (reduction sets
+    {nonzeros of row i} + vec slot i) for every non-empty row, then the
+    column edges (multicast sets {nonzeros of column j} + vec slot j)
+    for every non-empty column.  Each edge lists its nonzero ids
+    ascending, then its vec slot, so its pins are sorted and unique.
+    """
     n = matrix.n_rows
     rows = np.repeat(np.arange(n), matrix.row_nnz())
-    cols = matrix.indices
-    nnz_ids = np.arange(matrix.nnz) + nnz_offset
-
-    edges = []
-    weights = []
-    # Row edges: reduction sets {nonzeros of row i} + vec slot i.
-    row_order = np.argsort(rows, kind="stable")
-    row_starts = np.searchsorted(rows[row_order], np.arange(n + 1))
-    for i in range(n):
-        members = nnz_ids[row_order[row_starts[i]:row_starts[i + 1]]]
-        if len(members):
-            edges.append(np.append(members, vec_offset + i))
-            weights.append(row_weight)
-    # Column edges: multicast sets {nonzeros of column j} + vec slot j.
-    col_order = np.argsort(cols, kind="stable")
-    col_starts = np.searchsorted(cols[col_order], np.arange(n + 1))
-    for j in range(n):
-        members = nnz_ids[col_order[col_starts[j]:col_starts[j + 1]]]
-        if len(members):
-            edges.append(np.append(members, vec_offset + j))
-            weights.append(1.0)
-    return edges, weights
+    pins: List[np.ndarray] = []
+    sizes: List[np.ndarray] = []
+    weights: List[np.ndarray] = []
+    for keys, weight in ((rows, row_weight), (matrix.indices, 1.0)):
+        order = np.argsort(keys, kind="stable")
+        counts = np.bincount(keys, minlength=n)
+        used = np.nonzero(counts)[0]
+        edge_sizes = counts[used] + 1
+        ends = np.cumsum(edge_sizes)
+        # Members of the k-th edge are shifted past the k vec slots of
+        # the edges before it.
+        edge_index = np.cumsum(counts > 0) - 1
+        flat = np.empty(int(edge_sizes.sum()), dtype=np.int64)
+        flat[np.arange(len(order)) + edge_index[keys[order]]] = (
+            order + nnz_offset
+        )
+        flat[ends - 1] = vec_offset + used
+        pins.append(flat)
+        sizes.append(edge_sizes)
+        weights.append(np.full(len(used), weight, dtype=np.float64))
+    return pins, sizes, weights
 
 
 def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
@@ -81,12 +87,16 @@ def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
     n_vertices = matrix.nnz + lower.nnz + n
     vec_offset = matrix.nnz + lower.nnz
 
-    a_edges, a_weights = _matrix_edges(matrix, 0, vec_offset, row_weight)
-    l_edges, l_weights = _matrix_edges(
+    a_pins, a_sizes, a_weights = _matrix_edges(
+        matrix, 0, vec_offset, row_weight
+    )
+    l_pins, l_sizes, l_weights = _matrix_edges(
         lower, matrix.nnz, vec_offset, row_weight
     )
-    edges = a_edges + l_edges
-    edge_weights = np.array(a_weights + l_weights)
+    pins = np.concatenate(a_pins + l_pins)
+    sizes = np.concatenate(a_sizes + l_sizes)
+    edge_ptr = np.concatenate(([0], np.cumsum(sizes)))
+    edge_weights = np.concatenate(a_weights + l_weights)
 
     bytes_col = np.concatenate([
         np.full(matrix.nnz, nnz_bytes, dtype=np.float64),
@@ -100,7 +110,8 @@ def build_pcg_hypergraph(matrix: CSRMatrix, lower: CSRMatrix,
     else:
         vertex_weights = bytes_col[:, None]
 
-    return Hypergraph(n_vertices, edges, edge_weights, vertex_weights)
+    return Hypergraph.from_flat(n_vertices, pins, edge_ptr, edge_weights,
+                               vertex_weights)
 
 
 def map_azul(matrix: CSRMatrix, lower: CSRMatrix, n_tiles: int,

@@ -6,24 +6,18 @@ and keeps a thin ``run(...)`` shim for standalone use.  The staged
 executor (:mod:`repro.experiments.executor`) deduplicates points
 globally across experiments, checkpoints results for ``--resume``, and
 isolates failures; drive it via ``python -m repro.experiments.runner``.
-See DESIGN.md for the experiment index and docs/experiments.md for the
+The id index and its lookups (``EXPERIMENTS``, ``load_spec``,
+``load_specs``, ``run_experiment``) live in
+:mod:`repro.experiments.runner`; the package does not import the
+runner, so running it with ``-m`` imports it exactly once.  See
+DESIGN.md for the experiment index and docs/experiments.md for the
 spec/executor contract.
 """
 
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    load_spec,
-    load_specs,
-    run_experiment,
-)
 from repro.experiments.spec import ExperimentPlan, ExperimentSpec, register
 
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentPlan",
     "ExperimentSpec",
-    "load_spec",
-    "load_specs",
     "register",
-    "run_experiment",
 ]

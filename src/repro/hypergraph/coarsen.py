@@ -13,15 +13,17 @@ Both halves of the phase run on the flat CSR arrays:
   processes them in *batches*: one :func:`ragged_take` gather pulls the
   batch's candidate ``(seed, neighbor)`` incidences, a sort +
   segment-sum accumulates connectivity scores per candidate pair, and a
-  vectorized weight-cap precheck filters infeasible merges — only the
-  final accept/reject walk (which must see earlier matches) stays in
-  Python, one short candidate scan per seed.
-* :func:`contract` deduplicates re-pinned edges with a
-  ``lexsort``/``np.unique`` pipeline instead of a ``tobytes()`` dict:
-  in-edge duplicates drop via one sorted-neighbor comparison, identical
-  pin sets merge via per-size ``np.unique(axis=0)``, and the coarse
-  hypergraph is assembled with :meth:`Hypergraph.from_flat` (skipping
-  the per-edge normalization of ``Hypergraph.__init__`` entirely).
+  vectorized weight-cap precheck filters infeasible merges (only pairs
+  of two vertices too heavy to fit with every partner are checked) —
+  only the final accept/reject walk (which must see earlier matches)
+  stays in Python: one short candidate scan per seed over plain-list
+  views, with the matches written back to the array once per batch.
+* :func:`contract` deduplicates re-pinned edges with sorts instead of a
+  ``tobytes()`` dict: in-edge duplicates drop after one sort of the
+  combined (edge, pin) key, identical pin sets merge via one
+  row-``lexsort`` per edge size, and the coarse hypergraph is assembled
+  with :meth:`Hypergraph.from_flat` (skipping the per-edge
+  normalization of ``Hypergraph.__init__`` entirely).
 
 Layer contract: ``coarsen`` sits above ``hgraph``/``metrics`` and below
 ``partitioner`` (see ``.importlinter`` and ``tools/check_layers.py``).
@@ -51,12 +53,15 @@ def _batch_candidates(
     eligible: np.ndarray,
     matched: np.ndarray,
     max_vertex_weight: np.ndarray,
+    light: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scored, feasible merge candidates for a batch of seed vertices.
 
     Returns ``(seed_pos, neighbor, score)`` sorted so that each seed's
     candidates are contiguous in batch order, best score first (ties to
     the lowest neighbor id).  ``seed_pos`` indexes into ``seeds``.
+    ``light`` marks vertices that fit under ``max_vertex_weight`` with
+    any partner, so only pairs of two non-light vertices are checked.
     """
     ve_ptr, ve_ids = hgraph.incidence_arrays()
     # Incident eligible edges of every seed, flattened.
@@ -91,16 +96,21 @@ def _batch_candidates(
     cand_seed, neigh = cand_seed[starts], neigh[starts]
     # Weight-cap feasibility is static (merging never lightens a
     # vertex), so infeasible pairs are filtered here, vectorized.
-    merged = (
-        hgraph.vertex_weights[seeds[cand_seed]]
-        + hgraph.vertex_weights[neigh]
-    )
-    feasible = (merged <= max_vertex_weight).all(axis=1)
-    cand_seed, neigh, score = (
-        cand_seed[feasible], neigh[feasible], score[feasible]
-    )
-    # Batch order, then best score, ties to the lowest neighbor id.
-    order = np.lexsort((neigh, -score, cand_seed))
+    check = np.nonzero(~(light[seeds[cand_seed]] | light[neigh]))[0]
+    if len(check):
+        merged = (
+            hgraph.vertex_weights[seeds[cand_seed[check]]]
+            + hgraph.vertex_weights[neigh[check]]
+        )
+        feasible = np.ones(len(neigh), dtype=bool)
+        feasible[check] = (merged <= max_vertex_weight).all(axis=1)
+        cand_seed, neigh, score = (
+            cand_seed[feasible], neigh[feasible], score[feasible]
+        )
+    # Batch order, then best score, ties to the lowest neighbor id (the
+    # pairs are already sorted by (seed, neighbor) and lexsort is
+    # stable, so two keys suffice).
+    order = np.lexsort((-score, cand_seed))
     return cand_seed[order], neigh[order], score[order]
 
 
@@ -129,7 +139,16 @@ def match_vertices(
     bonus[eligible] = (
         hgraph.edge_weights[eligible] / (sizes[eligible] - 1)
     )
+    # A vertex is light if it fits under the cap even with the heaviest
+    # vertex: float addition is monotone, so w_v + w_u <= w_v + max w.
+    heaviest = hgraph.vertex_weights.max(axis=0, initial=0.0)
+    light = (
+        (hgraph.vertex_weights + heaviest) <= max_vertex_weight
+    ).all(axis=1)
     order = rng.permutation(n)
+    #: List view of ``matched`` for the accept walk; the array is
+    #: brought up to date after each batch for the vectorized filters.
+    partner = [-1] * n
 
     for start in range(0, n, _MATCH_BATCH):
         batch = order[start:start + _MATCH_BATCH]
@@ -137,24 +156,29 @@ def match_vertices(
         if len(batch) == 0:
             continue
         cand_seed, cand_neigh, _ = _batch_candidates(
-            hgraph, batch, bonus, eligible, matched, max_vertex_weight
+            hgraph, batch, bonus, eligible, matched, max_vertex_weight,
+            light,
         )
         # Accept walk: per seed (in batch = permutation order), take the
         # best candidate still unmatched.  Candidates are contiguous per
         # seed and pre-sorted, so this is one forward scan.
         bounds = np.searchsorted(
             cand_seed, np.arange(len(batch) + 1), side="left"
-        )
-        for i, v in enumerate(batch):
-            v = int(v)
-            if matched[v] >= 0:
+        ).tolist()
+        neighbors = cand_neigh.tolist()
+        accepted: List[int] = []
+        for i, v in enumerate(batch.tolist()):
+            if partner[v] >= 0:
                 continue
-            for k in range(bounds[i], bounds[i + 1]):
-                u = int(cand_neigh[k])
-                if matched[u] < 0:
-                    matched[v] = u
-                    matched[u] = v
+            for u in neighbors[bounds[i]:bounds[i + 1]]:
+                if partner[u] < 0:
+                    partner[v] = u
+                    partner[u] = v
+                    accepted.append(v)
+                    accepted.append(u)
                     break
+        if accepted:
+            matched[accepted] = [partner[v] for v in accepted]
 
     # Coarse ids in permutation-visit order of each pair's first-seen
     # member (mirrors the historical next_id counter), vectorized via a
@@ -186,14 +210,12 @@ def contract(hgraph: Hypergraph, mapping: np.ndarray) -> Hypergraph:
         )
 
     # Re-pin, then drop in-edge duplicates: sort pins within each edge
-    # (stable lexsort on (pin, edge)) and keep each (edge, pin) once.
-    coarse_pins = mapping[hgraph.pins]
-    pin_edge = hgraph.pin_edge_ids()
-    order = np.lexsort((coarse_pins, pin_edge))
-    cp, pe = coarse_pins[order], pin_edge[order]
-    keep = np.ones(len(cp), dtype=bool)
-    keep[1:] = (cp[1:] != cp[:-1]) | (pe[1:] != pe[:-1])
-    cp, pe = cp[keep], pe[keep]
+    # (one sort of the (edge, pin) key) and keep each (edge, pin) once.
+    key = np.sort(hgraph.pin_edge_ids() * np.int64(n_coarse)
+                  + mapping[hgraph.pins])
+    keep = np.ones(len(key), dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    pe, cp = np.divmod(key[keep], n_coarse)
     # Drop edges contracted below two pins.
     sizes = np.bincount(pe, minlength=hgraph.n_edges)
     keep_edge = sizes >= 2
@@ -212,9 +234,18 @@ def contract(hgraph: Hypergraph, mapping: np.ndarray) -> Hypergraph:
         size = int(size)
         group = np.nonzero(sizes == size)[0]
         rows = cp[ptr[group][:, None] + np.arange(size)[None, :]]
-        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+        # Rows in lexicographic order (first pin is the primary key),
+        # each distinct row kept once; ``inverse`` maps every edge to
+        # its merged row, so weights sum in original edge order.
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        uniq = ranked[first]
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
         merged_w = np.bincount(
-            inverse.reshape(-1), weights=edge_w[group], minlength=len(uniq)
+            inverse, weights=edge_w[group], minlength=len(uniq)
         )
         pins_parts.append(uniq.reshape(-1))
         size_parts.append(np.full(len(uniq), size, dtype=np.int64))

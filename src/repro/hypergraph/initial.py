@@ -7,11 +7,13 @@ weight fraction is reached.  Several seeds are tried and the lowest-cut
 result kept.
 
 The growth loop mirrors the FM pass's lazy-deletion heap: per absorbed
-vertex, one :func:`ragged_take` gather pulls the incident edges' pins,
-an ``np.add.at`` scatter accumulates the connectivity scores, and each
-touched neighbor is (re-)pushed once per wave — no per-(edge, pin)
-Python loop.  Edges larger than the growth limit are skipped when
-scoring (``PartitionerOptions.growth_edge_size_limit``).
+vertex, one scan of its eligible edges' pins adds each edge's bonus to
+the scores of the still-unassigned pins, and each touched neighbor is
+(re-)pushed once per wave.  The loop runs on plain-list views of the
+CSR arrays built once per attempt, so an absorption costs O(pins
+touched) Python steps rather than a run of numpy calls on arrays of a
+few dozen elements.  Edges larger than the growth limit are skipped
+when scoring (``PartitionerOptions.growth_edge_size_limit``).
 
 Layer contract: ``initial`` sits above ``hgraph``/``metrics`` and below
 ``partitioner`` (see ``.importlinter`` and ``tools/check_layers.py``).
@@ -20,10 +22,11 @@ Layer contract: ``initial`` sits above ``hgraph``/``metrics`` and below
 from __future__ import annotations
 
 import heapq
+from typing import List, Optional, Set
 
 import numpy as np
 
-from repro.hypergraph.hgraph import Hypergraph, ragged_take
+from repro.hypergraph.hgraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_cut
 
 #: Default cap on hyperedge size during region growing; larger edges
@@ -38,12 +41,13 @@ def _grow_once(hgraph: Hypergraph, target_fraction: float,
                ) -> np.ndarray:
     """One region-growing attempt; returns a side array (0 or 1)."""
     n = hgraph.n_vertices
-    side = np.ones(n, dtype=np.int8)
+    side = bytearray(b"\x01") * n
     totals = hgraph.total_weights()
     nonzero = totals > 0
-    thresh = (totals * target_fraction * 0.98)[nonzero]
-    weight0 = np.zeros(hgraph.n_constraints)
-    vertex_weights = hgraph.vertex_weights
+    thresh = (totals * target_fraction * 0.98)[nonzero].tolist()
+    targets = np.nonzero(nonzero)[0].tolist()
+    weight0 = [0.0] * hgraph.n_constraints
+    cap_row = np.asarray(caps0, dtype=np.float64).tolist()
 
     sizes = hgraph.edge_sizes()
     eligible = (sizes >= 2) & (sizes <= edge_size_limit)
@@ -52,16 +56,39 @@ def _grow_once(hgraph: Hypergraph, target_fraction: float,
         sizes[eligible] - 1, 1
     )
     ve_ptr, ve_ids = hgraph.incidence_arrays()
+    # List views the per-vertex loop indexes; ineligible edges are
+    # dropped from each vertex's incidence list up front.
+    keep = eligible[ve_ids]
+    incident = ve_ids[keep].tolist()
+    inc_ptr = np.concatenate(([0], np.cumsum(keep)))[ve_ptr].tolist()
+    bonus_of = bonus.tolist()
+    pins = hgraph.pins.tolist()
+    edge_ptr = hgraph.edge_ptr.tolist()
 
     #: Accumulated connectivity of each unassigned vertex to side 0.
-    score = np.zeros(n)
+    score = [0.0] * n
+    #: Vertex-weight rows, converted on first use (a full ``tolist``
+    #: of the weight matrix costs more than a typical growth).
+    weight_rows: List[Optional[List[float]]] = [None] * n
+
+    def vertex_weight(v: int) -> List[float]:
+        row = weight_rows[v]
+        if row is None:
+            row = weight_rows[v] = hgraph.vertex_weights[v].tolist()
+        return row
 
     def fits(v: int) -> bool:
-        return bool(((weight0 + vertex_weights[v]) <= caps0).all())
+        for weight, extra, cap in zip(weight0, vertex_weight(v), cap_row):
+            if not weight + extra <= cap:
+                return False
+        return True
 
     def reached_target() -> bool:
         # Grown far enough once the dominant constraint hits its target.
-        return bool((weight0[nonzero] >= thresh).all())
+        for c, target in zip(targets, thresh):
+            if not weight0[c] >= target:
+                return False
+        return True
 
     seed = int(rng.integers(n))
     heap = [(0.0, seed)]
@@ -71,31 +98,32 @@ def _grow_once(hgraph: Hypergraph, target_fraction: float,
         if side[v] == 0:
             continue
         if -neg != score[v]:
-            heapq.heappush(heap, (-float(score[v]), v))
+            heapq.heappush(heap, (-score[v], v))
             continue
         if not fits(v):
             continue
         side[v] = 0
-        weight0 += vertex_weights[v]
-        # Accumulate the connectivity v's edges contribute to side 0,
-        # then (re-)push each touched neighbor once for this wave.
-        edges = ve_ids[ve_ptr[v]:ve_ptr[v + 1]]
-        edges = edges[eligible[edges]]
-        if len(edges):
-            lengths = sizes[edges]
-            pv = ragged_take(hgraph.pins, hgraph.edge_ptr[edges], lengths)
-            b = np.repeat(bonus[edges], lengths)
-            outside = side[pv] == 1
-            np.add.at(score, pv[outside], b[outside])
-            for u in np.unique(pv[outside]):
-                u = int(u)
-                heapq.heappush(heap, (-float(score[u]), u))
+        for c, extra in enumerate(vertex_weight(v)):
+            weight0[c] += extra
+        # Accumulate the connectivity v's edges contribute to side 0
+        # in (edge, pin) order, then (re-)push each touched neighbor
+        # once for this wave, ascending.
+        touched: Set[int] = set()
+        for e in incident[inc_ptr[v]:inc_ptr[v + 1]]:
+            b = bonus_of[e]
+            for u in pins[edge_ptr[e]:edge_ptr[e + 1]]:
+                if side[u] == 1:
+                    score[u] += b
+                    touched.add(u)
+        for u in sorted(touched):
+            heapq.heappush(heap, (-score[u], u))
         if not heap:
             # Disconnected: restart growth from a fresh unassigned vertex.
-            remaining = np.nonzero(side == 1)[0]
+            unassigned = np.frombuffer(side, dtype=np.int8) == 1
+            remaining = np.nonzero(unassigned)[0]
             if len(remaining) and not reached_target():
                 heapq.heappush(heap, (0.0, int(rng.choice(remaining))))
-    return side
+    return np.frombuffer(side, dtype=np.int8).copy()
 
 
 def greedy_bisect(hgraph: Hypergraph, target_fraction: float,

@@ -14,13 +14,20 @@ from repro.hypergraph.hgraph import Hypergraph
 
 
 def _edge_lambdas(hgraph: Hypergraph, assignment: np.ndarray) -> np.ndarray:
-    """Number of distinct parts spanned by each hyperedge."""
-    lambdas = np.empty(hgraph.n_edges, dtype=np.int64)
-    pin_parts = assignment[hgraph.pins]
-    for e in range(hgraph.n_edges):
-        start, end = hgraph.edge_ptr[e], hgraph.edge_ptr[e + 1]
-        lambdas[e] = len(np.unique(pin_parts[start:end])) if end > start else 0
-    return lambdas
+    """Number of distinct parts spanned by each hyperedge.
+
+    One sort-based pass over the pin slots: sorting by (edge, part)
+    puts each edge's equal parts next to each other, so an edge's
+    lambda is the number of slots that start a new (edge, part) run.
+    Empty edges span zero parts.
+    """
+    pin_edge = hgraph.pin_edge_ids()
+    parts = np.asarray(assignment)[hgraph.pins]
+    order = np.lexsort((parts, pin_edge))
+    edge, part = pin_edge[order], parts[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (edge[1:] != edge[:-1]) | (part[1:] != part[:-1])
+    return np.bincount(edge[first], minlength=hgraph.n_edges)
 
 
 def cut_weight(hgraph: Hypergraph, assignment: np.ndarray) -> float:

@@ -16,9 +16,9 @@ move decisions:
   are recomputed from incident edges on demand.  Selected by
   ``refine="reference"`` or ``AZUL_PART_REFERENCE=1``.
 * ``VectorizedRefine`` (:mod:`repro.hypergraph.refine_vec`, the
-  default) — CSR-array bookkeeping: vectorized cut-count/gain init,
-  O(degree) numpy delta-gain updates per move, vectorized boundary
-  extraction.
+  default) — maintained-gain bookkeeping: vectorized cut-count/gain
+  init, O(pins touched) delta-gain updates per move on plain-list
+  views of the CSR arrays, vectorized boundary extraction.
 
 Both strategies produce bit-identical assignments whenever hyperedge
 weights are dyadic rationals (every hypergraph the Azul mapping builds:
@@ -249,10 +249,9 @@ def _fm_pass(hgraph: Hypergraph, state: _BisectionState, caps: np.ndarray,
     the heap with one entry per (edge, pin) pair per move — the fix
     for the historical quadratic heap churn on dense edges.
     """
-    locked = np.zeros(hgraph.n_vertices, dtype=bool)
+    locked = [False] * hgraph.n_vertices
     heap: List = []
-    for v in state.boundary_vertices():
-        v = int(v)
+    for v in state.boundary_vertices().tolist():
         heapq.heappush(heap, (-state.gain(v), v))
 
     moves: List[int] = []

@@ -1,20 +1,25 @@
-"""Vectorized CSR-array FM bookkeeping (the default refine strategy).
+"""List-backed FM bookkeeping (the default refine strategy).
 
 The reference :class:`~repro.hypergraph.refine._BisectionState` walks
 Python loops over incident edges for every ``gain()`` call — and the
 shared selection loop calls ``gain()`` on every heap pop and every
 dirty-vertex re-push, so on dense hypergraphs the partitioner spends
-most of its time there.  This module replaces the bookkeeping with flat
-numpy arrays:
+most of its time there.  This module maintains the gains instead:
 
-* **init** — cut counts via one ``bincount`` over the flat pin array; a
-  maintained per-vertex ``gains`` array built by a single vectorized
-  pass over all (edge, pin) incidences.
-* **move** — O(degree) delta-gain updates: one :func:`ragged_take`
-  gather of the moved vertex's incident edges' pins, closed-form gain
-  deltas per pin, one ``np.add.at`` scatter.
-* **boundary / affected** — vectorized cut-edge masks over
-  ``pin_edge_ids`` instead of per-edge Python loops.
+* **init** — cut counts via one ``bincount`` over the flat pin array
+  and a per-vertex ``gains`` array from a single vectorized pass over
+  all (edge, pin) incidences.  The results, and the CSR arrays the
+  move loop walks, are then converted once to plain Python lists.
+* **move** — O(pins touched) delta-gain updates: one scan of the moved
+  vertex's incident edges and their pins, adding each closed-form
+  delta to a plain list in (edge, pin) order.  A move touches a few
+  dozen pins, where a numpy call per step would cost more than the
+  arithmetic.
+* **gain / fits_after_move / affected** — list lookups: the gain is
+  maintained, the part weights are per-constraint lists, and the dirty
+  set is the neighbor set the last move already collected.
+* **boundary** — vectorized cut-edge masks over ``pin_edge_ids``,
+  once per pass.
 
 The *selection* semantics are untouched: this class only overrides
 state bookkeeping, and :func:`repro.hypergraph.refine._fm_pass` drives
@@ -30,11 +35,11 @@ Layer contract: ``refine_vec`` sits above ``refine`` and below
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
-from repro.hypergraph.hgraph import Hypergraph, ragged_take
+from repro.hypergraph.hgraph import Hypergraph
 from repro.hypergraph.refine import (
     RefineStrategy,
     _BisectionState,
@@ -43,10 +48,14 @@ from repro.hypergraph.refine import (
 
 
 class _CSRBisectionState(_BisectionState):
-    """CSR-array FM bookkeeping with a maintained per-vertex gain array.
+    """FM bookkeeping with a maintained per-vertex gain list.
 
     Overrides every bookkeeping method of the reference state; the
-    semantics of each (documented there) are preserved exactly.
+    semantics of each (documented there) are preserved exactly.  The
+    reference's ``count0`` and ``part_weights`` arrays are kept as the
+    plain lists ``_count0`` and ``_part_weights`` (one row per side),
+    next to the maintained ``gains`` list; ``side`` is the caller's
+    array, kept in step with the list view the move loop reads.
     """
 
     # pylint: disable=super-init-not-called
@@ -55,107 +64,163 @@ class _CSRBisectionState(_BisectionState):
         self.side = side
         self.edge_sizes = hgraph.edge_sizes()
         pin_edge = hgraph.pin_edge_ids()
+        pin_side = side[hgraph.pins]
         # Pins of each edge currently on side 0 (one bincount pass).
-        self.count0 = np.bincount(
+        count0 = np.bincount(
             pin_edge,
-            weights=(side[hgraph.pins] == 0).astype(np.float64),
+            weights=(pin_side == 0).astype(np.float64),
             minlength=hgraph.n_edges,
         ).astype(np.int64)
-        self.part_weights = np.zeros((2, hgraph.n_constraints))
+        part_weights = np.zeros((2, hgraph.n_constraints))
         for s in (0, 1):
             members = side == s
-            self.part_weights[s] = hgraph.vertex_weights[members].sum(axis=0)
+            part_weights[s] = hgraph.vertex_weights[members].sum(axis=0)
         # Per-vertex gains from one pass over all (edge, pin) slots:
         # the moved-edge contribution of pin u is +w when u is the lone
         # pin on its side (the move uncuts e) and -w when every pin of
         # e sits on u's side (the move cuts e).
         sz = self.edge_sizes[pin_edge]
-        c0 = self.count0[pin_edge]
-        on_my = np.where(side[hgraph.pins] == 0, c0, sz - c0)
+        c0 = count0[pin_edge]
+        on_my = np.where(pin_side == 0, c0, sz - c0)
         contrib = hgraph.edge_weights[pin_edge] * (
             (on_my == 1).astype(np.float64) - (on_my == sz)
         )
-        self.gains = np.bincount(
+        gains = np.bincount(
             hgraph.pins, weights=contrib, minlength=hgraph.n_vertices
         )
-        # Incidence CSR, built once (the reference builds it lazily too).
-        self._ve_ptr, self._ve_ids = hgraph.incidence_arrays()
-        # Dirty-neighbor cache from the last move (reused by affected()).
+        ve_ptr, ve_ids = hgraph.incidence_arrays()
+
+        # List views the per-move loops index (built once per state).
+        self._count0: List[int] = count0.tolist()
+        self._part_weights: List[List[float]] = part_weights.tolist()
+        self.gains: List[float] = gains.tolist()
+        self._side: List[int] = side.tolist()
+        self._sizes: List[int] = self.edge_sizes.tolist()
+        self._weights: List[float] = hgraph.edge_weights.tolist()
+        self._pins: List[int] = hgraph.pins.tolist()
+        self._edge_ptr: List[int] = hgraph.edge_ptr.tolist()
+        self._ve_ptr: List[int] = ve_ptr.tolist()
+        self._ve_ids: List[int] = ve_ids.tolist()
+        # Vertex-weight rows are converted on first use: a full
+        # ``tolist`` of the (n, constraints) array costs more than the
+        # moves of a typical call.
+        self._weight_rows: List[Optional[List[float]]] = (
+            [None] * hgraph.n_vertices
+        )
+        self._caps: np.ndarray = np.empty((0, 0))
+        self._cap_rows: List[List[float]] = []
+        # Neighbors the last move touched (reused by affected()).
         self._last_move: int = -1
-        self._last_neighbors: Optional[np.ndarray] = None
+        self._last_neighbors: Set[int] = set()
+
+    def _vertex_weight(self, v: int) -> List[float]:
+        row = self._weight_rows[v]
+        if row is None:
+            row = self.hgraph.vertex_weights[v].tolist()
+            self._weight_rows[v] = row
+        return row
 
     # -- bookkeeping overrides ----------------------------------------
     def gain(self, v: int) -> float:
         """Cut reduction if ``v`` switches sides (O(1) lookup)."""
-        return float(self.gains[v])
-
-    def _incident(self, v: int) -> np.ndarray:
-        return self._ve_ids[self._ve_ptr[v]:self._ve_ptr[v + 1]]
+        return self.gains[v]
 
     def move(self, v: int) -> None:
-        """Switch ``v``'s side with O(degree) numpy delta-gain updates."""
-        hgraph = self.hgraph
-        s = int(self.side[v])
-        edges = self._incident(v)
-        lengths = self.edge_sizes[edges]
-        pv = ragged_take(hgraph.pins, hgraph.edge_ptr[edges], lengths)
-        pe = np.repeat(edges, lengths)
-
-        w = hgraph.edge_weights[pe]
-        sz = self.edge_sizes[pe]
-        c0 = self.count0[pe]
-        # Pre-move pin counts on v's side (cs) and the far side (ct).
-        cs = np.where(s == 0, c0, sz - c0)
-        ct = sz - cs
-        same = self.side[pv] == s
-        # Same-side pins: moving v away adds +w when v and u were the
-        # only same-side pins (u becomes lone: cs == 2) and +w when the
-        # edge was uncut on this side (u can no longer uncut for free:
-        # cs == sz, reclaiming the -w it carried).  Far-side pins lose
-        # -w when v joins a lone pin (ct == 1) or fills the edge
-        # (ct == sz - 1).
-        delta = np.where(
-            same,
-            w * ((cs == 2).astype(np.float64) + (cs == sz)),
-            -w * ((ct == 1).astype(np.float64) + (ct == sz - 1)),
-        )
-        not_v = pv != v
-        neighbors = pv[not_v]
-        np.add.at(self.gains, neighbors, delta[not_v])
+        """Switch ``v``'s side with O(pins touched) delta-gain updates."""
+        side = self._side
+        gains = self.gains
+        count0 = self._count0
+        sizes = self._sizes
+        weights = self._weights
+        pins = self._pins
+        edge_ptr = self._edge_ptr
+        s = side[v]
+        step = -1 if s == 0 else 1
+        neighbors: Set[int] = set()
+        for e in self._ve_ids[self._ve_ptr[v]:self._ve_ptr[v + 1]]:
+            sz = sizes[e]
+            c0 = count0[e]
+            count0[e] = c0 + step
+            edge_pins = pins[edge_ptr[e]:edge_ptr[e + 1]]
+            neighbors.update(edge_pins)
+            # Pre-move pin counts on v's side (cs) and the far side (ct).
+            cs = c0 if s == 0 else sz - c0
+            ct = sz - cs
+            w = weights[e]
+            # Same-side pins: moving v away adds +w when v and u were
+            # the only same-side pins (u becomes lone: cs == 2) and +w
+            # when the edge was uncut on this side (u can no longer
+            # uncut for free: cs == sz, reclaiming the -w it carried).
+            # Far-side pins lose -w when v joins a lone pin (ct == 1)
+            # or fills the edge (ct == sz - 1).  Zero deltas are
+            # skipped, and so are edges with none: adding zero never
+            # changes a gain's value.
+            same = w * ((cs == 2) + (cs == sz))
+            far = -w * ((ct == 1) + (ct == sz - 1))
+            if not (same or far):
+                continue
+            for u in edge_pins:
+                if u == v:
+                    continue
+                if side[u] == s:
+                    if same:
+                        gains[u] += same
+                elif far:
+                    gains[u] += far
         # Every per-edge contribution of v itself flips sign exactly.
-        self.gains[v] = -self.gains[v]
+        gains[v] = -gains[v]
+        neighbors.discard(v)
 
-        self.count0[edges] += -1 if s == 0 else 1
-        self.part_weights[s] -= hgraph.vertex_weights[v]
-        self.part_weights[1 - s] += hgraph.vertex_weights[v]
+        vw = self._vertex_weight(v)
+        source = self._part_weights[s]
+        destination = self._part_weights[1 - s]
+        for c, weight in enumerate(vw):
+            source[c] -= weight
+            destination[c] += weight
+        side[v] = 1 - s
         self.side[v] = 1 - s
 
         self._last_move = v
         self._last_neighbors = neighbors
 
+    def fits_after_move(self, v: int, caps: np.ndarray) -> bool:
+        """Whether moving ``v`` keeps the receiving side under its caps."""
+        if caps is not self._caps:
+            self._caps = caps
+            self._cap_rows = caps.tolist()
+        destination = 1 - self._side[v]
+        for weight, extra, cap in zip(self._part_weights[destination],
+                                      self._vertex_weight(v),
+                                      self._cap_rows[destination]):
+            if not weight + extra <= cap:
+                return False
+        return True
+
     def affected(self, v: int) -> List[int]:
-        """Dirty set of ``v``: unique ascending neighbors (vectorized)."""
-        if v == self._last_move and self._last_neighbors is not None:
+        """Dirty set of ``v``: unique ascending neighbors."""
+        if v == self._last_move:
             neighbors = self._last_neighbors
         else:
-            hgraph = self.hgraph
-            edges = self._incident(v)
-            lengths = self.edge_sizes[edges]
-            pv = ragged_take(hgraph.pins, hgraph.edge_ptr[edges], lengths)
-            neighbors = pv[pv != v]
-        return np.unique(neighbors).tolist()
+            pins = self._pins
+            edge_ptr = self._edge_ptr
+            neighbors = set()
+            for e in self._ve_ids[self._ve_ptr[v]:self._ve_ptr[v + 1]]:
+                neighbors.update(pins[edge_ptr[e]:edge_ptr[e + 1]])
+            neighbors.discard(v)
+        return sorted(neighbors)
 
     def boundary_vertices(self) -> np.ndarray:
         """Vertices incident to at least one cut edge (vectorized)."""
         hgraph = self.hgraph
-        cut_edges = (self.count0 > 0) & (self.count0 < self.edge_sizes)
+        count0 = np.asarray(self._count0, dtype=np.int64)
+        cut_edges = (count0 > 0) & (count0 < self.edge_sizes)
         mask = cut_edges[hgraph.pin_edge_ids()]
         return np.unique(hgraph.pins[mask])
 
 
 @register_strategy
 class VectorizedRefine(RefineStrategy):
-    """CSR-array FM bookkeeping — the default strategy.
+    """Maintained-gain FM bookkeeping — the default strategy.
 
     Bit-identical to :class:`~repro.hypergraph.refine.ReferenceRefine`
     on dyadic-weight hypergraphs (every hypergraph the Azul mapping

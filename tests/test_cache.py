@@ -365,3 +365,44 @@ else:
             )
             outs.append(proc.stdout.strip())
         assert outs == ["WROTE", "READ"]
+
+    def test_concurrent_stats_flushes_lose_no_counts(self, tmp_path):
+        # Each process records misses and flushes after every one, so
+        # they read-modify-write stats.json as often as possible; all
+        # wait for "go" on stdin so their loops overlap, and there are
+        # more of them than a typical runner has cores.
+        script = r"""
+import sys
+from repro.cache import ArtifactCache, PICKLE
+
+cache = ArtifactCache.from_env(persist_stats=True)
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(int(sys.argv[1])):
+    cache.get("xproc", cache.key(sys.argv[2], i), PICKLE)
+    cache.flush_stats()
+"""
+        env = dict(os.environ)
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "shared")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        flushes = 200
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(flushes), name],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                env=env,
+            )
+            for name in ("a", "b", "c", "d")
+        ]
+        for proc in procs:
+            assert proc.stdout.readline().strip() == "ready"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        for proc in procs:
+            proc.stdin.close()
+            assert proc.wait(timeout=120) == 0
+            proc.stdout.close()
+        persisted = ArtifactCache(tmp_path / "shared").persisted_stats()
+        assert persisted.misses == len(procs) * flushes

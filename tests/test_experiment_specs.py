@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import AzulConfig
-from repro.experiments import EXPERIMENTS, load_spec, load_specs
+from repro.experiments.runner import EXPERIMENTS, load_spec, load_specs
 from repro.experiments import fig21, fig22
 from repro.experiments.executor import (
     ExperimentFailure,

@@ -8,7 +8,7 @@ exercise the full-size configurations.
 import pytest
 
 from repro.config import AzulConfig
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.experiments import (
     fig01,
     fig03,

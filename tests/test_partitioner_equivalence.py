@@ -7,7 +7,9 @@ in bookkeeping (see ``refine.py``'s module docstring for the exactness
 argument).  On arbitrary float weights gain sums may round differently,
 so there the contract weakens to cut-quality parity (gmean within 2%).
 
-Also covered: FM never increases the connectivity cut, per-constraint
+Azul placements of suite matrices are pinned by content digest, so any
+change to the partitioner's bookkeeping that alters one placement bit
+fails here.  Also covered: FM never increases the connectivity cut, per-constraint
 caps hold after every refine when the input satisfies them, same-seed
 determinism across presets, the strategy registry / env escape hatch,
 and ``jobs=N`` bit-identity with the serial path.
@@ -15,9 +17,14 @@ and ``jobs=N`` bit-identity with the serial path.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.config import AzulConfig
+from repro.core.azul_mapping import map_azul
+from repro.experiments.common import ExperimentSession
 from repro.hypergraph import Hypergraph, PartitionerOptions, partition
 from repro.hypergraph.metrics import connectivity_cut, cut_weight
 from repro.hypergraph.refine import (
@@ -211,3 +218,39 @@ class TestCutMetricsAgree:
         hg = random_hypergraph(rng)
         assignment = partition(hg, 4, PartitionerOptions(seed=0))
         assert cut_weight(hg, assignment) <= connectivity_cut(hg, assignment)
+
+
+def placement_digest(placement) -> str:
+    """SHA-256 over the tile arrays of a placement, as int64 bytes."""
+    digest = hashlib.sha256()
+    for tiles in (placement.a_tile, placement.l_tile, placement.vec_tile):
+        digest.update(np.ascontiguousarray(tiles, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+class TestPlacementDigests:
+    """Azul placements on 8x8 tiles, pinned byte for byte."""
+
+    CASES = {
+        ("thermal2", 0, "default"):
+            "749d5d5a9a19924205e87daaa7c32a6e"
+            "2eaa236eb82407b18b65945c3848ce83",
+        ("thermal2", 5, "default"):
+            "7dbc213c4df0ee5d84b09d576bc30477"
+            "47bd76aae07047fe7a76687de9a5ca64",
+        ("G3_circuit", 5, "speed"):
+            "4cc3e3e6e590c16550585bbe25920ce1"
+            "d134de4d39647fee62a5cfb8b40fbc93",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_placement_digest_pinned(self, case):
+        name, q, preset = case
+        config = AzulConfig(mesh_rows=8, mesh_cols=8)
+        prepared = ExperimentSession(config, use_cache=False).prepare(name)
+        options = (
+            PartitionerOptions.speed(seed=0) if preset == "speed" else None
+        )
+        placement = map_azul(prepared.matrix, prepared.lower,
+                             config.num_tiles, q=q, options=options)
+        assert placement_digest(placement) == self.CASES[case]

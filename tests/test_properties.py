@@ -9,7 +9,9 @@ from repro.core.quantiles import depth_quantile_weights
 from repro.graph import greedy_coloring, inverse_permutation, symmetric_permute
 from repro.graph.coloring import validate_coloring
 from repro.hypergraph import Hypergraph, connectivity_cut, partition
-from repro.hypergraph import PartitionerOptions
+from repro.hypergraph import PartitionerOptions, cut_weight
+from repro.hypergraph.refine import ReferenceRefine
+from repro.hypergraph.refine_vec import VectorizedRefine
 from repro.perf import gmean
 from repro.sparse import COOMatrix, coo_to_csc, coo_to_csr, csr_to_csc
 from repro.sparse.ops import sptrsv_lower
@@ -47,6 +49,39 @@ def spd_like_matrices(draw, max_dim=10):
     sym = (values + values.T) / 2
     np.fill_diagonal(sym, np.abs(sym).sum(axis=1) + 1.0)
     return coo_to_csr(COOMatrix.from_dense(sym))
+
+
+@st.composite
+def hypergraphs(draw, max_vertices=24, max_edges=30):
+    """Hypergraphs with empty, single-pin and duplicate edges.
+
+    Returns ``(hgraph, dyadic)``.  Weights are either all dyadic
+    rationals (``dyadic``: float sums are then exact in any order) or
+    arbitrary positive floats; vertex weights have 1-3 constraints.
+    """
+    n = draw(st.integers(2, max_vertices))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6),
+                          max_size=max_edges))
+    if edges:
+        # Duplicate pin sets, listed in another pin order.
+        repeats = draw(st.lists(st.integers(0, len(edges) - 1),
+                                max_size=4))
+        edges += [edges[i][::-1] for i in repeats]
+    dyadic = draw(st.booleans())
+    weight = (
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]) if dyadic
+        else st.floats(0.01, 10, allow_nan=False, allow_infinity=False)
+    )
+    edge_weights = draw(st.lists(weight, min_size=len(edges),
+                                 max_size=len(edges)))
+    n_constraints = draw(st.integers(1, 3))
+    vertex_weights = draw(st.lists(
+        st.lists(weight, min_size=n_constraints, max_size=n_constraints),
+        min_size=n, max_size=n,
+    ))
+    hgraph = Hypergraph(n, edges, edge_weights,
+                        np.array(vertex_weights).reshape(n, n_constraints))
+    return hgraph, dyadic
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +238,63 @@ class TestPartitionProperties:
             for e in range(hg.n_edges)
         )
         assert 0 <= cut <= upper + 1e-9
+
+
+    @given(hypergraphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_maintained_fm_state_matches_reference(self, drawn, data):
+        """After random moves, the default strategy's maintained gains,
+        cut counts and part weights equal a from-scratch reference
+        state on the same sides (exactly, on dyadic weights)."""
+        hg, dyadic = drawn
+        n = hg.n_vertices
+        side = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                           max_size=n)), dtype=np.int8)
+        moves = data.draw(st.lists(st.integers(0, n - 1), max_size=40))
+        state = VectorizedRefine().make_state(hg, side)
+        for v in moves:
+            state.move(v)
+            fresh = ReferenceRefine().make_state(hg, state.side.copy())
+            assert state.affected(v) == fresh.affected(v)
+        reference = ReferenceRefine().make_state(hg, state.side.copy())
+        assert np.array_equal(state._count0, reference.count0)
+        assert np.array_equal(state.boundary_vertices(),
+                              reference.boundary_vertices())
+        gains = np.array(state.gains)
+        want = np.array([reference.gain(v) for v in range(n)])
+        weights = np.array(state._part_weights)
+        if dyadic:
+            assert np.array_equal(gains, want)
+            assert np.array_equal(weights, reference.part_weights)
+            caps = np.full((2, hg.n_constraints),
+                           hg.total_weights().max() / 2)
+            assert ([state.fits_after_move(v, caps) for v in range(n)]
+                    == [reference.fits_after_move(v, caps)
+                        for v in range(n)])
+        else:
+            np.testing.assert_allclose(gains, want, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(weights, reference.part_weights,
+                                       rtol=1e-9, atol=1e-9)
+
+    @given(hypergraphs(), st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cut_metrics_match_per_edge_definition(self, drawn, k, data):
+        """Both cut metrics equal their per-edge ``np.unique`` form."""
+        hg, _ = drawn
+        assignment = np.array(data.draw(st.lists(
+            st.integers(0, k - 1), min_size=hg.n_vertices,
+            max_size=hg.n_vertices,
+        )), dtype=np.int64)
+        lambdas = np.array([
+            len(np.unique(assignment[hg.edge_pins(e)]))
+            for e in range(hg.n_edges)
+        ], dtype=np.int64)
+        assert cut_weight(hg, assignment) == float(
+            hg.edge_weights[lambdas > 1].sum()
+        )
+        assert connectivity_cut(hg, assignment) == float(
+            (np.maximum(lambdas - 1, 0) * hg.edge_weights).sum()
+        )
 
 
 # ----------------------------------------------------------------------
