@@ -100,8 +100,8 @@ def test_kernel_simulation(benchmark, matrix, lower):
 # The pair of ``test_spmv_sim`` / ``test_spmv_sim_reference`` entries is
 # the headline perf artifact: the batched engine must stay bit-identical
 # to the reference path (asserted here on cycles and output) while being
-# substantially faster.  ``benchmarks/emit_bench_sim.py`` runs the
-# ``sim_engine`` marker set with ``--benchmark-json`` and
+# substantially faster.  ``benchmarks/emit_bench.py --suite sim`` runs
+# the ``sim_engine`` marker set with ``--benchmark-json`` and
 # ``benchmarks/check_regression.py`` gates the recorded timings.
 
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig10, fig11, fig17, fig23, tabD
+from repro.experiments.runner import run_experiment
 
 #: Matrix used for the vectorized-vs-reference strategy pair (medium
 #: size keeps the reference round CI-affordable).
@@ -60,7 +60,9 @@ def test_mapping_quality_largest(benchmark):
 
 
 def test_fig10_idealized_pe_mappings(benchmark, subset):
-    result = run_once(benchmark, lambda: fig10.run(matrices=subset))
+    result = run_once(
+        benchmark, lambda: run_experiment("fig10", matrices=subset)
+    )
     # Even with idealized PEs, position-based mappings lose to Azul's.
     # (At 64 tiles a high-parallelism grid can tie — the paper's margin
     # comes from 4096 tiles — so require a majority win plus gmean.)
@@ -70,7 +72,9 @@ def test_fig10_idealized_pe_mappings(benchmark, subset):
 
 
 def test_fig11_traffic_reduction(benchmark, subset):
-    result = run_once(benchmark, lambda: fig11.run(matrices=subset))
+    result = run_once(
+        benchmark, lambda: run_experiment("fig11", matrices=subset)
+    )
     for row in result.rows:
         # Azul's mapping must produce the least traffic of all four.
         assert row["azul_norm"] <= row["round_robin_norm"]
@@ -80,7 +84,7 @@ def test_fig11_traffic_reduction(benchmark, subset):
 
 
 def test_fig17_time_balancing(benchmark):
-    result = run_once(benchmark, fig17.run)
+    result = run_once(benchmark, lambda: run_experiment("fig17"))
     # Time balancing must not slow the kernel down, and the issue
     # histogram of the balanced mapping must end earlier (no long tail).
     assert result.extras["speedup"] >= 1.0
@@ -91,7 +95,9 @@ def test_fig17_time_balancing(benchmark):
 
 
 def test_fig23_end_to_end_mappings(benchmark, subset):
-    result = run_once(benchmark, lambda: fig23.run(matrices=subset))
+    result = run_once(
+        benchmark, lambda: run_experiment("fig23", matrices=subset)
+    )
     for row in result.rows:
         assert row["azul"] > row["round_robin"]
         assert row["azul"] > row["sparsep"]
@@ -100,7 +106,8 @@ def test_fig23_end_to_end_mappings(benchmark, subset):
 
 def test_tabD_mapping_costs(benchmark, subset):
     result = run_once(
-        benchmark, lambda: tabD.run(matrices=subset, use_cache=False)
+        benchmark,
+        lambda: run_experiment("tabD", matrices=subset, use_cache=False),
     )
     for row in result.rows:
         # Azul's mapping is the most expensive, Block the cheapest

@@ -95,9 +95,6 @@ SUITES = {
     },
 }
 
-#: Back-compat alias (the historical ``emit_bench_sim`` public name).
-SPEEDUP_PAIRS = SUITES["sim"]["speedup_pairs"]
-
 
 def load_times(path: Path) -> dict:
     """Map short benchmark name -> best-round seconds from a JSON file.

@@ -32,8 +32,6 @@ from repro.cache.serializers import (
 from repro.cache.store import (
     DEFAULT_MAX_BYTES,
     ENV_CACHE_DIR,
-    ENV_DISABLE,
-    ENV_MAX_BYTES,
     MISS,
     SCHEMA_VERSION,
     ArtifactCache,
@@ -50,8 +48,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_MAX_BYTES",
     "ENV_CACHE_DIR",
-    "ENV_MAX_BYTES",
-    "ENV_DISABLE",
     "default_cache_root",
     "stable_digest",
     "canonical_encode",

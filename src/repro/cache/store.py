@@ -35,9 +35,14 @@ Environment knobs
 ``REPRO_CACHE_DIR``
     Cache root (default: the repository-level ``.cache/``).
 ``REPRO_CACHE_MAX_BYTES``
-    Disk-tier budget in bytes (default 512 MiB).
+    Disk-tier budget in bytes (default 512 MiB); a value that is not
+    an integer raises ``ValueError``.
 ``REPRO_CACHE_DISABLE``
-    Any non-empty value other than ``0``/``false`` disables both tiers.
+    Any value :func:`repro.config.env_truthy` accepts (not empty,
+    ``0``, ``false``, ``no`` or ``off``) disables both tiers.
+
+:func:`repro.config.overrides` reports both settings through the same
+helpers, so a metrics artifact always matches the cache.
 """
 
 from __future__ import annotations
@@ -58,7 +63,12 @@ from pathlib import Path
 import repro.obs as obs
 from repro.cache.keys import content_checksum, stable_digest
 from repro.cache.serializers import Serializer
-from repro.config import ENV_CACHE_DIR
+from repro.config import (
+    ENV_CACHE_DIR,
+    ENV_CACHE_DISABLE,
+    ENV_CACHE_MAX_BYTES,
+    env_truthy,
+)
 
 #: Schema version of the on-disk entry layout.  Bump on incompatible
 #: changes; entries with a different schema are treated as misses.
@@ -73,9 +83,6 @@ TMP_PREFIX = ".tmp-"
 QUARANTINE_DIRNAME = "quarantine"
 STATS_FILENAME = "stats.json"
 STATS_LOCK_FILENAME = "stats.json.lock"
-
-ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
-ENV_DISABLE = "REPRO_CACHE_DISABLE"
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 DEFAULT_MEMORY_ENTRIES = 256
@@ -104,8 +111,18 @@ def _exclusive_lock(path: Path):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def _env_truthy(value) -> bool:
-    return bool(value) and str(value).strip().lower() not in ("0", "false", "")
+def env_max_bytes() -> int:
+    """Disk-tier budget from ``REPRO_CACHE_MAX_BYTES`` (or the default)."""
+    raw = os.environ.get(ENV_CACHE_MAX_BYTES)
+    if not raw:
+        return DEFAULT_MAX_BYTES
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{ENV_CACHE_MAX_BYTES} must be an integer byte count, "
+            f"got {raw!r}"
+        ) from None
 
 
 @dataclass
@@ -210,12 +227,11 @@ class ArtifactCache:
             override = os.environ.get(ENV_CACHE_DIR)
             root = Path(override) if override else default_cache_root()
         if "max_bytes" not in kwargs:
-            raw = os.environ.get(ENV_MAX_BYTES)
-            kwargs["max_bytes"] = (
-                int(raw) if raw else DEFAULT_MAX_BYTES
-            )
+            kwargs["max_bytes"] = env_max_bytes()
         if "enabled" not in kwargs:
-            kwargs["enabled"] = not _env_truthy(os.environ.get(ENV_DISABLE))
+            kwargs["enabled"] = not env_truthy(
+                os.environ.get(ENV_CACHE_DISABLE)
+            )
         return cls(root, **kwargs)
 
     @classmethod
@@ -228,8 +244,8 @@ class ArtifactCache:
         """
         fingerprint = (
             os.environ.get(ENV_CACHE_DIR),
-            os.environ.get(ENV_MAX_BYTES),
-            os.environ.get(ENV_DISABLE),
+            os.environ.get(ENV_CACHE_MAX_BYTES),
+            os.environ.get(ENV_CACHE_DISABLE),
         )
         with _DEFAULT_LOCK:
             cache = _DEFAULT_CACHES.get(fingerprint)

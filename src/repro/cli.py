@@ -73,9 +73,9 @@ def _make_preconditioner(name: str, matrix):
 
 # ----------------------------------------------------------------------
 def cmd_suite(args):
-    from repro.experiments import tab4
+    from repro.experiments.runner import run_experiment
 
-    print(tab4.run(section=args.section))
+    print(run_experiment("tab4", section=args.section))
     return 0
 
 

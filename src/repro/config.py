@@ -44,7 +44,7 @@ def overrides() -> Dict[str, Dict[str, Any]]:
     and the *effective* setting the pipeline resolves it to.  Emitted
     into every metrics artifact so runs are self-describing.
     """
-    from repro.cache.store import DEFAULT_MAX_BYTES, default_cache_root
+    from repro.cache.store import default_cache_root, env_max_bytes
     from repro.parallel import default_jobs
 
     sim_raw = os.environ.get(ENV_SIM_REFERENCE)
@@ -55,10 +55,6 @@ def overrides() -> Dict[str, Dict[str, Any]]:
     max_raw = os.environ.get(ENV_CACHE_MAX_BYTES)
     disable_raw = os.environ.get(ENV_CACHE_DISABLE)
     jobs_raw = os.environ.get(ENV_JOBS)
-    try:
-        max_bytes = int(max_raw) if max_raw else DEFAULT_MAX_BYTES
-    except ValueError:
-        max_bytes = DEFAULT_MAX_BYTES
     return {
         ENV_SIM_REFERENCE: {
             "raw": sim_raw,
@@ -88,7 +84,7 @@ def overrides() -> Dict[str, Dict[str, Any]]:
             "raw": dir_raw,
             "effective": dir_raw or str(default_cache_root()),
         },
-        ENV_CACHE_MAX_BYTES: {"raw": max_raw, "effective": max_bytes},
+        ENV_CACHE_MAX_BYTES: {"raw": max_raw, "effective": env_max_bytes()},
         ENV_CACHE_DISABLE: {
             "raw": disable_raw,
             "effective": env_truthy(disable_raw),

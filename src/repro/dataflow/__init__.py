@@ -22,7 +22,7 @@ from repro.dataflow.sptrsv_graph import (
     build_sptrsv_program,
     transpose_with_mapping,
 )
-from repro.dataflow.kernel_program import KernelProgram, build_kernel_program
+from repro.dataflow.kernel_program import build_kernel_program
 from repro.dataflow.vector_ops import (
     VectorPhaseModel,
     dot_allreduce_cycles,
@@ -36,7 +36,6 @@ __all__ = [
     "OpKind",
     "TaskKind",
     "CompiledKernel",
-    "KernelProgram",
     "LOWERINGS",
     "LoweringStrategy",
     "ReferenceLowering",

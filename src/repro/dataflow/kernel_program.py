@@ -11,8 +11,7 @@ in :mod:`repro.dataflow.ir` (:class:`~repro.dataflow.ir.CompiledKernel`,
 structure-of-arrays) and the *construction* in
 :mod:`repro.dataflow.lower` (the strategy registry).  This module is
 the stable entry point: :func:`build_kernel_program` validates
-arguments and dispatches to the configured lowering;
-``KernelProgram`` is the historical public name for the program type.
+arguments and dispatches to the configured lowering.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ import numpy as np
 
 from repro.dataflow.ir import CompiledKernel
 from repro.dataflow.lower import resolve_lowering
-
-#: Historical public name: a kernel program *is* a compiled kernel.
-KernelProgram = CompiledKernel
 
 
 def build_kernel_program(name: str, n: int, rows: np.ndarray,

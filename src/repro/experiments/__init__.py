@@ -2,10 +2,12 @@
 
 Each module registers an :class:`~repro.experiments.spec.ExperimentSpec`
 (keyed simulation points + a ``reduce`` into an ``ExperimentResult``)
-and keeps a thin ``run(...)`` shim for standalone use.  The staged
-executor (:mod:`repro.experiments.executor`) deduplicates points
-globally across experiments, checkpoints results for ``--resume``, and
-isolates failures; drive it via ``python -m repro.experiments.runner``.
+as its only public name.  The staged executor
+(:mod:`repro.experiments.executor`) is the one way a spec runs: it
+deduplicates points globally across experiments, checkpoints results
+for ``--resume``, and isolates failures.  Drive it via
+``python -m repro.experiments.runner`` or, for one experiment,
+``run_experiment(id, **overrides)``.
 The id index and its lookups (``EXPERIMENTS``, ``load_spec``,
 ``load_specs``, ``run_experiment``) live in
 :mod:`repro.experiments.runner`; the package does not import the

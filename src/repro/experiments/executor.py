@@ -1,11 +1,11 @@
 """Staged, deduplicating, resumable executor for experiment specs.
 
-The runner used to loop ``module.run()`` per experiment: every module
-fanned out its own sweep, shared work was only recovered through the
-disk cache *after* each point had been planned and keyed again, one
-crash lost the whole run, and one bad experiment aborted everything
-behind it.  The executor replaces that loop with four stages over the
-declarative specs (:mod:`repro.experiments.spec`):
+The executor is the one way an experiment runs: the runner, the CLI
+and :func:`repro.experiments.runner.run_experiment` all call
+:func:`execute`.  It runs four stages over the declarative specs
+(:mod:`repro.experiments.spec`), so shared points are simulated once,
+a crash loses only unfinished experiments, and one bad experiment
+need not abort the rest:
 
 1. **Plan** — build every selected experiment's
    :class:`~repro.experiments.spec.ExperimentPlan` (cheap by
@@ -445,11 +445,11 @@ def execute(
                 on_outcome(outcome)
             if outcome.status == "failed" and not keep_going:
                 obs.counter("exec.failures", 1)
+                cause = (entry.error if entry.error is not None
+                         else RuntimeError(outcome.error or "unknown"))
                 raise ExperimentFailure(
-                    outcome.experiment_id,
-                    entry.error if entry.error is not None
-                    else RuntimeError(outcome.error or "unknown"),
-                )
+                    outcome.experiment_id, cause
+                ) from cause
 
     failures = len(report.failures())
     if failures:

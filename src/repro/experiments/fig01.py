@@ -48,17 +48,3 @@ def spec(matrices=None, scale: int = 1,
         return result
 
     return ExperimentPlan(session=session, reduce=reduce)
-
-
-def run(matrices=None, scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Evaluate the GPU model on the representative matrices."""
-    return spec.run(jobs=jobs, matrices=matrices, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -47,17 +47,3 @@ def spec(matrices=None, scale: int = 1,
         return result
 
     return ExperimentPlan(session=session, reduce=reduce)
-
-
-def run(matrices=None, scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Per-kernel GPU runtime fractions for the representative set."""
-    return spec.run(jobs=jobs, matrices=matrices, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

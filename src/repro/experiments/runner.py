@@ -17,9 +17,15 @@ import argparse
 import importlib
 import os
 import sys
-from typing import Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
+from repro.experiments.executor import (
+    ExperimentFailure,
+    execute,
+    plan_experiments,
+)
 from repro.experiments.spec import ExperimentSpec, get_registered
+from repro.perf import ExperimentResult
 
 #: Experiment id -> module path.  Ordered roughly as in the paper.
 #: Importing a module registers its spec; ``load_spec`` resolves ids.
@@ -82,14 +88,19 @@ def load_specs(ids: Optional[Iterable[str]] = None) -> List[ExperimentSpec]:
 
 
 def run_experiment(experiment_id: str, jobs: Optional[int] = None,
-                   **kwargs):
-    """Run one experiment by id; returns its ExperimentResult.
+                   **overrides: Any) -> ExperimentResult:
+    """Run one experiment by id through the executor; return its result.
 
-    ``jobs`` is forwarded unconditionally: every spec builder declares
-    a ``jobs`` parameter (the uniform parallelism contract), so no
-    signature probing is needed.
+    ``overrides`` go to the experiment's builder; one it does not
+    declare raises ``TypeError`` (the multi-experiment runner instead
+    offers each builder only the overrides it declares).  A failing
+    experiment raises :class:`ExperimentFailure` chained to its cause.
+    Like every executor run, this writes the result's checkpoint.
     """
-    return load_spec(experiment_id).run(jobs=jobs, **kwargs)
+    spec = load_spec(experiment_id)
+    spec.check_overrides(overrides)
+    report = execute([spec], jobs=jobs, overrides=overrides)
+    return report.results()[experiment_id]
 
 
 def main(argv=None):
@@ -180,12 +191,6 @@ def main(argv=None):
     overrides = {}
     if args.matrices is not None:
         overrides["matrices"] = list(args.matrices)
-
-    from repro.experiments.executor import (
-        ExperimentFailure,
-        execute,
-        plan_experiments,
-    )
 
     if args.plan:
         # Dry run: always survey every experiment (keep_going) so the

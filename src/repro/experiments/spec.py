@@ -1,12 +1,13 @@
 """Declarative experiment specs and the process-wide spec registry.
 
-An experiment used to be an ad-hoc ``run()`` function that built
-``SimPoint`` lists, fanned them out, and zipped results back by
-positional index (``sims[2 * index]``).  That shape made every module
-re-implement the same loop and hid the sweep structure from the
-runner, so nothing above a single experiment could share work.
+Each paper table or figure is one registered :class:`ExperimentSpec`.
+The staged executor (:mod:`repro.experiments.executor`) is the only
+way a spec runs: it builds every selected plan, merges the points of
+all experiments into one sweep, and reduces each experiment.
+:func:`repro.experiments.runner.run_experiment` runs one experiment
+through it.
 
-A spec splits one experiment into three declarative parts:
+A spec splits one experiment into two declarative parts:
 
 ``points``
     A *cheap* builder product: a ``{key: SimPoint}`` mapping naming
@@ -20,10 +21,6 @@ A spec splits one experiment into three declarative parts:
     point key to its simulation result.  Everything that is not a
     standard sweep point — analytic models, traffic analysis,
     placement-keyed sweeps — lives here.
-``run()`` (module shim)
-    Each module keeps a thin ``run(...)`` wrapper delegating to
-    :meth:`ExperimentSpec.run`, so historical imports and tests keep
-    working unchanged.
 
 Builders MUST be cheap: no ``prepare``/``placement``/``simulate``
 calls — the executor builds every selected experiment's plan up front
@@ -56,9 +53,9 @@ Registration::
         return ExperimentPlan(session=session, points=points,
                               reduce=reduce)
 
-The decorator returns the :class:`ExperimentSpec` (conventionally
-bound to the module attribute ``spec``) and records it in the
-registry keyed by experiment id.
+The decorator returns the :class:`ExperimentSpec` (bound to the
+module attribute ``spec``, the module's only public name) and
+records it in the registry keyed by experiment id.
 """
 
 from __future__ import annotations
@@ -107,24 +104,6 @@ class ExperimentPlan:
     #: Back-reference filled in by :meth:`ExperimentSpec.plan`.
     spec: Optional["ExperimentSpec"] = None
 
-    def resolve(self, jobs: Optional[int] = None, *,
-                stats: Optional[dict] = None) -> Dict[str, Any]:
-        """Simulate this plan's own points (single-experiment path).
-
-        The multi-experiment executor does NOT use this — it merges
-        points across plans first; this is the ``spec.run()`` /
-        ``module.run()`` shim path, and both produce identical
-        results because points resolve to identical cache keys.
-        """
-        if not self.points:
-            if stats is not None:
-                stats.update(points=0, unique=0)
-            return {}
-        from repro.parallel import simulate_keyed
-
-        return simulate_keyed(self.session, self.points, jobs,
-                              stats=stats)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -143,9 +122,8 @@ class ExperimentSpec:
         """Whether the builder takes an override named ``name``."""
         return name in self.params
 
-    def plan(self, *, jobs: Optional[int] = None,
-             **overrides: Any) -> ExperimentPlan:
-        """Build this experiment's plan (cheap; never simulates)."""
+    def check_overrides(self, overrides: Mapping[str, Any]) -> None:
+        """Raise ``TypeError`` naming overrides the builder lacks."""
         unknown = sorted(set(overrides) - self.params)
         if unknown:
             raise TypeError(
@@ -153,6 +131,11 @@ class ExperimentSpec:
                 f"{', '.join(unknown)}; its builder takes "
                 f"{', '.join(sorted(self.params))}"
             )
+
+    def plan(self, *, jobs: Optional[int] = None,
+             **overrides: Any) -> ExperimentPlan:
+        """Build this experiment's plan (cheap; never simulates)."""
+        self.check_overrides(overrides)
         plan = self.builder(jobs=jobs, **overrides)
         if not isinstance(plan, ExperimentPlan):
             raise TypeError(
@@ -161,13 +144,6 @@ class ExperimentSpec:
             )
         plan.spec = self
         return plan
-
-    def run(self, *, jobs: Optional[int] = None,
-            **overrides: Any) -> ExperimentResult:
-        """Plan, simulate the points, reduce — one experiment alone."""
-        plan = self.plan(jobs=jobs, **overrides)
-        sims = plan.resolve(jobs)
-        return plan.reduce(sims)
 
     def describe(self) -> str:
         """One ``--list`` line: id, title, and tags."""

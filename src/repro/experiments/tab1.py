@@ -51,17 +51,3 @@ def spec(matrices=None, scale: int = 1,
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(matrices=None, scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Compute the Table I rows (uses unpermuted inputs as baseline)."""
-    return spec.run(jobs=jobs, matrices=matrices, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

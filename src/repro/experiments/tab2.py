@@ -37,16 +37,3 @@ def spec(jobs: Optional[int] = None) -> ExperimentPlan:
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(jobs: Optional[int] = None) -> ExperimentResult:
-    """Render the solver/preconditioner/kernels table."""
-    return spec.run(jobs=jobs)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

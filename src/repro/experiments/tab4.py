@@ -49,17 +49,3 @@ def spec(section: str = "all", scale: int = 1,
         return result
 
     return ExperimentPlan(session=None, reduce=reduce)
-
-
-def run(section: str = "all", scale: int = 1,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Build the suite inventory table."""
-    return spec.run(jobs=jobs, section=section, scale=scale)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -56,19 +56,3 @@ def spec(matrices=None, config: Optional[AzulConfig] = None,
         return result
 
     return ExperimentPlan(session=session, reduce=reduce)
-
-
-def run(matrices=None, config: Optional[AzulConfig] = None,
-        scale: int = 1, use_cache: bool = False,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    """Measure mapping wall-clock seconds per matrix and strategy."""
-    return spec.run(jobs=jobs, matrices=matrices, config=config,
-                    scale=scale, use_cache=use_cache)
-
-
-def main():
-    print(run())
-
-
-if __name__ == "__main__":
-    main()

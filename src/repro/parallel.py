@@ -37,8 +37,8 @@ from repro.cache import MISS, PICKLE
 from repro.config import ENV_JOBS, AzulConfig
 from repro.sim.pe import PEModel
 
-__all__ = ["SimPoint", "simulate_many", "simulate_keyed",
-           "simulate_placements", "default_jobs", "ENV_JOBS"]
+__all__ = ["SimPoint", "simulate_many", "simulate_placements",
+           "default_jobs", "ENV_JOBS"]
 
 #: Sentinel marking a worker failure (distinct from any result).
 _FAILED = object()
@@ -282,27 +282,6 @@ def simulate_many(session, points, jobs: Optional[int] = None, *,
     if stats is not None:
         stats.update(info)
     return results
-
-
-def simulate_keyed(session, points, jobs: Optional[int] = None, *,
-                   use_cache: Optional[bool] = None,
-                   stats: Optional[dict] = None) -> Dict[str, object]:
-    """Simulate a ``{key: SimPoint}`` mapping; results come back keyed.
-
-    The keyed face of :func:`simulate_many` used by the declarative
-    experiment specs (:mod:`repro.experiments.spec`): point keys are
-    experiment-local labels, so reducers look results up by name
-    instead of fragile positional arithmetic (``sims[2 * index]``).
-    Duplicate *values* under different keys still deduplicate to one
-    computation, and semantics (cache short-circuit, worker fan-out,
-    serial fallback) are exactly :func:`simulate_many`'s.
-    """
-    keys = list(points.keys())
-    results = simulate_many(
-        session, [points[key] for key in keys], jobs,
-        use_cache=use_cache, stats=stats,
-    )
-    return dict(zip(keys, results))
 
 
 # ----------------------------------------------------------------------

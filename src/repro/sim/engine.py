@@ -1,6 +1,6 @@
 """Discrete-event kernel simulator: the layer composition root.
 
-Executes one :class:`~repro.dataflow.kernel_program.KernelProgram`
+Executes one :class:`~repro.dataflow.ir.CompiledKernel`
 cycle-accurately *and* numerically.  :class:`KernelSimulator` composes
 the simulator layers (``events ← state ← fabric ← issue``, see
 :mod:`repro.sim` and ``docs/simulator.md``); ``engine=`` selects *only*
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.config import AzulConfig, ENV_SIM_REFERENCE, env_truthy
-from repro.dataflow.kernel_program import KernelProgram
+from repro.dataflow.ir import CompiledKernel
 from repro.errors import SimulationError
 from repro.sim.events import EV_PUMP, EventQueue, drain
 from repro.sim.fabric import LinkFabric, flatten_multicast_forest
@@ -103,7 +103,7 @@ class KernelSimulator:
     #: Issue-strategy name pinned by the engine subclasses.
     engine_name: Optional[str] = None
 
-    def __new__(cls, program: KernelProgram, geometry=None,
+    def __new__(cls, program: CompiledKernel, geometry=None,
                 config: Optional[AzulConfig] = None,
                 pe: Optional[PEModel] = None,
                 record_issue_trace: bool = False,
@@ -112,7 +112,7 @@ class KernelSimulator:
             cls = _resolve_engine(engine)
         return object.__new__(cls)
 
-    def __init__(self, program: KernelProgram, geometry,
+    def __init__(self, program: CompiledKernel, geometry,
                  config: AzulConfig, pe: PEModel,
                  record_issue_trace: bool = False,
                  engine: Optional[str] = None):

@@ -323,6 +323,34 @@ class TestEnvironment:
         monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
         assert ArtifactCache.from_env(persist_stats=False).enabled is False
 
+    @pytest.mark.parametrize("value", ["1", "0", "yes", "no", "off", ""])
+    def test_disable_matches_overrides(self, value, tmp_path, monkeypatch):
+        from repro.config import overrides
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", value)
+        reported = overrides()["REPRO_CACHE_DISABLE"]["effective"]
+        assert ArtifactCache.from_env().enabled == (not reported)
+
+    @pytest.mark.parametrize("value", ["4096", "1GB"])
+    def test_max_bytes_matches_overrides(self, value, tmp_path,
+                                         monkeypatch):
+        from repro.config import overrides
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", value)
+        if value.isdigit():
+            reported = overrides()["REPRO_CACHE_MAX_BYTES"]["effective"]
+            assert ArtifactCache.from_env().max_bytes == reported
+            return
+        # A malformed budget is refused by both, with one message.
+        with pytest.raises(ValueError) as from_cache:
+            ArtifactCache.from_env()
+        with pytest.raises(ValueError) as from_overrides:
+            overrides()
+        assert str(from_cache.value) == str(from_overrides.value)
+        assert "REPRO_CACHE_MAX_BYTES" in str(from_cache.value)
+
     def test_default_registry_tracks_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
         first = ArtifactCache.default()

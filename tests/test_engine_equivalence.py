@@ -136,11 +136,7 @@ def test_equivalence_exercises_vectorized_batches():
     is therefore covered by the equivalence assertion below.
     """
     matrix, torus, config, spmv, _ = _programs("fem", 2, 2)
-    longest = max(
-        len(rows)
-        for segments in spmv.col_segments.values()
-        for rows, _ in segments.values()
-    )
+    longest = int(np.diff(spmv.seg_ptr).max())
     assert longest >= _VEC_THRESHOLD
     x = np.ones(matrix.shape[0])
     _assert_equivalent(spmv, torus, config, AZUL_PE, x=x)

@@ -4,10 +4,11 @@ Covers the registry contract (every experiment module registers
 exactly one spec whose id matches the runner table and DESIGN.md's
 per-experiment index), the global point dedup across experiments,
 checkpoint-based ``--resume``, ``--keep-going`` failure isolation,
-spec-shim parity (``module.run()`` equals the executor's output), and
-the sibling-group extension of the AST layer checker.
+``run_experiment`` as a one-experiment executor run, and the
+sibling-group extension of the AST layer checker.
 """
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -15,8 +16,12 @@ from pathlib import Path
 import pytest
 
 from repro.config import AzulConfig
-from repro.experiments.runner import EXPERIMENTS, load_spec, load_specs
-from repro.experiments import fig21, fig22
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    load_spec,
+    load_specs,
+    run_experiment,
+)
 from repro.experiments.executor import (
     ExperimentFailure,
     execute,
@@ -88,6 +93,10 @@ class TestRegistry:
             assert spec.module == EXPERIMENTS[spec.id]
             assert spec.title
             assert "jobs" in spec.params
+            # The spec is the module's only entry point: no run/main
+            # shims beside it.
+            names = vars(importlib.import_module(spec.module))
+            assert "run" not in names and "main" not in names, spec.id
 
     def test_registry_snapshot_complete(self):
         load_specs()
@@ -284,20 +293,33 @@ class TestExecution:
 
 
 # ----------------------------------------------------------------------
-# Spec-shim parity
+# run_experiment: one experiment through the executor
 # ----------------------------------------------------------------------
-class TestParity:
-    @pytest.mark.parametrize("module,experiment_id",
-                             [(fig21, "fig21"), (fig22, "fig22")])
-    def test_run_shim_matches_executor(self, module, experiment_id):
-        direct = module.run(matrices=SMALL, config=TINY_CONFIG)
-        report = execute(
-            [load_spec(experiment_id)],
-            overrides={"matrices": SMALL, "config": TINY_CONFIG},
-        )
-        via_executor = report.outcomes[0].result
-        assert direct.columns == via_executor.columns
-        assert direct.rows == via_executor.rows
+class TestRunExperiment:
+    def test_unknown_override_raises(self, fresh_cache):
+        with pytest.raises(TypeError, match="does not accept"):
+            run_experiment("tab2", nonsense=1)
+
+    def test_failure_chains_cause(self, fresh_cache, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "syn_run_fail", __name__)
+        _synthetic("syn_run_fail", {}, fail=True)
+        try:
+            with pytest.raises(ExperimentFailure,
+                               match="syn_run_fail") as info:
+                run_experiment("syn_run_fail")
+            cause = info.value.__cause__
+            assert isinstance(cause, RuntimeError)
+            assert "boom in syn_run_fail" in str(cause)
+            assert info.value.cause is cause
+        finally:
+            unregister("syn_run_fail")
+
+    def test_returns_the_executor_result(self, fresh_cache):
+        result = run_experiment("tab2")
+        report = execute([load_spec("tab2")], resume=True)
+        # The run checkpointed its result; resume replays it.
+        assert report.outcomes[0].status == "resumed"
+        assert report.outcomes[0].result.rows == result.rows
 
 
 # ----------------------------------------------------------------------
