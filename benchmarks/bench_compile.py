@@ -1,14 +1,14 @@
-"""Benchmarks for dataflow program compilation (lowering strategies).
+"""Benchmarks for dataflow program compilation (the lowering).
 
 The ``compile_program``-marked benchmarks track the array-backed
-``VectorizedLowering`` against the retained per-element
-``ReferenceLowering`` in ``BENCH_compile.json`` (see
+lowering against the per-element ``ReferenceLowering`` golden model in
+``tests/oracles`` in ``BENCH_compile.json`` (see
 ``benchmarks/emit_bench.py --suite compile``): the full PCG program
 triple — SpMV plus both SpTRSV kernels, multicast/reduction forests
 included — on the largest solver-suite matrix (BenElechi1 at suite
 scale 4) mapped onto the paper's 64-tile torus.
 
-Both strategies produce bit-identical ``CompiledKernel`` programs
+Both produce bit-identical ``CompiledKernel`` programs
 (``tests/test_dataflow_equivalence.py``), so the pair ratio is pure
 lowering speed.  Sweep-scale runs compile each (matrix, placement)
 point once and fan out over simulator knobs via the program cache, but
@@ -23,6 +23,7 @@ from repro.core.block import map_block
 from repro.dataflow.program import build_pcg_program
 from repro.precond.ic0 import ic0
 from repro.sparse.suite import get_suite_matrix
+from tests.oracles.lowering import use_reference_lowering
 
 #: Largest solver-suite benchmark matrix (n=4480, ~108k nonzeros).
 COMPILE_MATRIX = "BenElechi1"
@@ -51,8 +52,7 @@ def _compile(inputs):
 
 
 @pytest.mark.compile_program
-def test_compile_vectorized(benchmark, compile_inputs, monkeypatch):
-    monkeypatch.delenv("AZUL_DATAFLOW_REFERENCE", raising=False)
+def test_compile_vectorized(benchmark, compile_inputs):
     program = benchmark.pedantic(
         lambda: _compile(compile_inputs),
         rounds=10, iterations=1, warmup_rounds=1,
@@ -62,7 +62,7 @@ def test_compile_vectorized(benchmark, compile_inputs, monkeypatch):
 
 @pytest.mark.compile_program
 def test_compile_reference(benchmark, compile_inputs, monkeypatch):
-    monkeypatch.setenv("AZUL_DATAFLOW_REFERENCE", "1")
+    use_reference_lowering(monkeypatch)
     program = benchmark.pedantic(
         lambda: _compile(compile_inputs),
         rounds=3, iterations=1,

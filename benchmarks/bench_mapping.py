@@ -3,59 +3,54 @@
 The ``mapping_engine``-marked benchmarks additionally track the
 partitioner hot path itself in ``BENCH_mapping.json`` (see
 ``benchmarks/emit_bench.py --suite mapping``): quality-preset Azul
-partitions with the vectorized vs reference FM refinement strategies,
-plus the largest small-section suite matrix (BenElechi1) whose mapping
-cost dominates the Sec. VI-D table.
+partitions with the maintained-gain FM bookkeeping vs the golden
+recompute-from-scratch bookkeeping in ``tests/oracles``, plus the
+largest small-section suite matrix (BenElechi1) whose mapping cost
+dominates the Sec. VI-D table.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from benchmarks.conftest import run_once
 from repro.experiments.runner import run_experiment
+from tests.oracles.refine import use_reference_refine
 
-#: Matrix used for the vectorized-vs-reference strategy pair (medium
-#: size keeps the reference round CI-affordable).
+#: Matrix used for the production-vs-reference FM pair (medium size
+#: keeps the reference round CI-affordable).
 QUALITY_MATRIX = "consph"
 #: Largest small-section suite matrix: the Sec. VI-D cost ceiling.
 LARGEST_MATRIX = "BenElechi1"
 
 
-def _quality_map(name: str, refine: str):
+def _quality_map(name: str):
     from repro.core.azul_mapping import map_azul
     from repro.experiments.common import ExperimentSession
     from repro.hypergraph import PartitionerOptions
 
     session = ExperimentSession()
     prepared = session.prepare(name)
-    options = replace(PartitionerOptions.quality(seed=0), refine=refine)
     return map_azul(
-        prepared.matrix, prepared.lower, 64, options=options
+        prepared.matrix, prepared.lower, 64,
+        options=PartitionerOptions.quality(seed=0),
     )
 
 
 @pytest.mark.mapping_engine
 def test_mapping_quality(benchmark):
-    placement = run_once(
-        benchmark, lambda: _quality_map(QUALITY_MATRIX, "vectorized")
-    )
+    placement = run_once(benchmark, lambda: _quality_map(QUALITY_MATRIX))
     assert placement.mapper == "azul"
 
 
 @pytest.mark.mapping_engine
-def test_mapping_quality_reference(benchmark):
-    placement = run_once(
-        benchmark, lambda: _quality_map(QUALITY_MATRIX, "reference")
-    )
+def test_mapping_quality_reference(benchmark, monkeypatch):
+    use_reference_refine(monkeypatch)
+    placement = run_once(benchmark, lambda: _quality_map(QUALITY_MATRIX))
     assert placement.mapper == "azul"
 
 
 @pytest.mark.mapping_engine
 def test_mapping_quality_largest(benchmark):
-    placement = run_once(
-        benchmark, lambda: _quality_map(LARGEST_MATRIX, "vectorized")
-    )
+    placement = run_once(benchmark, lambda: _quality_map(LARGEST_MATRIX))
     assert placement.mapper == "azul"
 
 

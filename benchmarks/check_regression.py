@@ -10,16 +10,16 @@ Two checks, both over the pytest-benchmark JSON emitted by
    dependent, so CI keeps the baselines refreshed from the same runner
    class (see ``benchmarks/baselines/``).
 2. **Speedup floor** — the suite's fast implementation must stay at
-   least ``--min-speedup`` faster than its retained reference
-   implementation.  This ratio is machine *independent*, so it holds
-   even when the absolute baseline is stale.
+   least ``--min-speedup`` faster than its golden model in
+   ``tests/oracles``.  This ratio is machine *independent*, so it
+   holds even when the absolute baseline is stale.
 
-   * ``sim`` (default floor 1.05x): since the layered-core refactor
-     the per-op reference engine shares the batched engine's optimized
-     control path, so the remaining gap is the pure batching benefit —
+   * ``sim`` (default floor 1.05x): the per-op golden model shares the
+     batched simulator's optimized control path, so the remaining gap
+     is the pure batching benefit —
      ~1.4x on the 300-node FEM SpMV and ~1.1x on the
      dependence-limited SpTRSV.
-   * ``mapping`` (default floor 1.5x): the reference heap-FM strategy
+   * ``mapping`` (default floor 1.5x): the golden heap-FM bookkeeping
      shares the vectorized coarsening/initial phases and the
      dirty-set selection loop, so the gap is the pure CSR-gain
      bookkeeping benefit — ~2.2x on the consph quality partition.
@@ -28,8 +28,8 @@ Two checks, both over the pytest-benchmark JSON emitted by
      the IC(0) and end-to-end PCG pairs carry their own per-pair
      floors (3x / 1.5x, ``pair_floors`` in the suite spec) because
      they include one-time schedule builds.
-   * ``compile`` (default floor 5x): the vectorized dataflow lowering
-     over the per-element reference strategy on the BenElechi1 x4 PCG
+   * ``compile`` (default floor 5x): the batched dataflow lowering
+     over the per-element golden model on the BenElechi1 x4 PCG
      program triple (~8x measured); both produce bit-identical
      programs, so the ratio is pure lowering speed.
 

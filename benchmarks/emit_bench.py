@@ -5,22 +5,23 @@ Drives pytest-benchmark over one marked benchmark suite and writes the
 standard pytest-benchmark JSON.  A summary — including the
 fast-over-reference speedup each suite tracks — is printed at the end.
 
-Suites:
+Suites (every reference half runs a golden model from
+``tests/oracles``):
 
 * ``sim`` — the ``sim_engine`` marker set in
-  ``benchmarks/bench_kernels.py``: batched vs per-op reference engine
-  on the 300-node FEM SpMV/SpTRSV programs.
+  ``benchmarks/bench_kernels.py``: batched issue vs the per-op golden
+  model on the 300-node FEM SpMV/SpTRSV programs.
 * ``mapping`` — the ``mapping_engine`` marker set in
   ``benchmarks/bench_mapping.py``: quality-preset Azul partitions with
-  the vectorized vs reference FM refinement strategies, plus the
+  the maintained-gain vs golden FM bookkeeping, plus the
   largest-suite-matrix (BenElechi1) partition the Sec. VI-D cost study
   tracks.
 * ``solver`` — the ``solver_kernels`` marker set in
-  ``benchmarks/bench_solver.py``: level-scheduled vs reference SpTRSV,
+  ``benchmarks/bench_solver.py``: level-scheduled vs per-row SpTRSV,
   IC(0), and end-to-end PCG on the largest solver-suite matrix
   (BenElechi1 scaled 4x).
 * ``compile`` — the ``compile_program`` marker set in
-  ``benchmarks/bench_compile.py``: vectorized vs reference dataflow
+  ``benchmarks/bench_compile.py``: batched vs per-element dataflow
   lowering of the full PCG program triple on BenElechi1 scaled 4x
   mapped onto the 64-tile torus.
 

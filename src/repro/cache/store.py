@@ -196,7 +196,7 @@ class ArtifactCache:
         Per-process object-tier capacity (entry count).
     enabled:
         ``False`` turns every lookup into a miss and every write into a
-        no-op (the ``REPRO_CACHE_DISABLE`` escape hatch).
+        no-op (the ``REPRO_CACHE_DISABLE`` setting).
     persist_stats:
         Accumulate counters into ``<root>/stats.json`` so observability
         spans processes.
@@ -304,6 +304,7 @@ class ArtifactCache:
         if not payload.exists():
             return MISS
         meta_path = self._meta_path(payload)
+        complete = meta_path.exists()
         try:
             raw = payload.read_bytes()
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -323,6 +324,15 @@ class ArtifactCache:
             if meta.get("checksum") != content_checksum(raw):
                 raise ValueError("checksum mismatch")
             value = serializer.loads(raw)
+        except FileNotFoundError as exc:
+            # A file that was there at the existence checks, or whose
+            # payload is gone too, was removed by another process's
+            # eviction or ``clear``: a miss, not a corruption.  Only a
+            # payload that never had metadata is damage.
+            if complete or not payload.exists():
+                return MISS
+            self._quarantine(payload, meta_path, repr(exc))
+            return MISS
         except Exception as exc:  # noqa: BLE001 — resilience by design
             self._quarantine(payload, meta_path, repr(exc))
             return MISS

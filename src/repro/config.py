@@ -15,14 +15,9 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
-#: Environment escape hatches, consolidated (see :func:`overrides`).
-#: These names are the single documented surface; the owning modules
-#: (``repro.sim.engine``, ``repro.hypergraph.refine``,
-#: ``repro.cache.store``, ``repro.parallel``) alias them.
-ENV_SIM_REFERENCE = "AZUL_SIM_REFERENCE"
-ENV_PART_REFERENCE = "AZUL_PART_REFERENCE"
-ENV_SOLVER_REFERENCE = "AZUL_SOLVER_REFERENCE"
-ENV_DATAFLOW_REFERENCE = "AZUL_DATAFLOW_REFERENCE"
+#: Environment settings, consolidated (see :func:`overrides`).  These
+#: names are the single documented surface; the owning modules
+#: (``repro.cache.store``, ``repro.parallel``) read them from here.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 ENV_CACHE_DISABLE = "REPRO_CACHE_DISABLE"
@@ -30,56 +25,28 @@ ENV_JOBS = "REPRO_JOBS"
 
 
 def env_truthy(value: Optional[str]) -> bool:
-    """Shared truthiness rule for boolean environment escape hatches."""
+    """Shared truthiness rule for boolean environment settings."""
     if value is None:
         return False
     return str(value).strip().lower() not in ("", "0", "false", "no", "off")
 
 
 def overrides() -> Dict[str, Dict[str, Any]]:
-    """Effective values of every environment escape hatch.
+    """Effective values of every environment setting.
 
-    One documented surface over the engine/refine/cache/jobs knobs:
-    each entry reports the raw environment value (``None`` when unset)
-    and the *effective* setting the pipeline resolves it to.  Emitted
-    into every metrics artifact so runs are self-describing.
+    One documented surface over the cache and jobs knobs: each entry
+    reports the raw environment value (``None`` when unset) and the
+    *effective* setting the pipeline resolves it to.  Emitted into
+    every metrics artifact so runs are self-describing.
     """
     from repro.cache.store import default_cache_root, env_max_bytes
     from repro.parallel import default_jobs
 
-    sim_raw = os.environ.get(ENV_SIM_REFERENCE)
-    part_raw = os.environ.get(ENV_PART_REFERENCE)
-    solver_raw = os.environ.get(ENV_SOLVER_REFERENCE)
-    dataflow_raw = os.environ.get(ENV_DATAFLOW_REFERENCE)
     dir_raw = os.environ.get(ENV_CACHE_DIR)
     max_raw = os.environ.get(ENV_CACHE_MAX_BYTES)
     disable_raw = os.environ.get(ENV_CACHE_DISABLE)
     jobs_raw = os.environ.get(ENV_JOBS)
     return {
-        ENV_SIM_REFERENCE: {
-            "raw": sim_raw,
-            "effective": (
-                "reference" if env_truthy(sim_raw) else "batched"
-            ),
-        },
-        ENV_PART_REFERENCE: {
-            "raw": part_raw,
-            "effective": (
-                "reference" if env_truthy(part_raw) else "vectorized"
-            ),
-        },
-        ENV_SOLVER_REFERENCE: {
-            "raw": solver_raw,
-            "effective": (
-                "reference" if env_truthy(solver_raw) else "level"
-            ),
-        },
-        ENV_DATAFLOW_REFERENCE: {
-            "raw": dataflow_raw,
-            "effective": (
-                "reference" if env_truthy(dataflow_raw) else "vectorized"
-            ),
-        },
         ENV_CACHE_DIR: {
             "raw": dir_raw,
             "effective": dir_raw or str(default_cache_root()),

@@ -10,13 +10,6 @@ trees, and reduction trees the simulator executes.
 from repro.dataflow.messages import Message, MessageKind
 from repro.dataflow.tasks import OpKind, TaskKind
 from repro.dataflow.ir import CompiledKernel
-from repro.dataflow.lower import (
-    LOWERINGS,
-    LoweringStrategy,
-    ReferenceLowering,
-    VectorizedLowering,
-    resolve_lowering,
-)
 from repro.dataflow.spmv_graph import build_spmv_program
 from repro.dataflow.sptrsv_graph import (
     build_sptrsv_program,
@@ -36,11 +29,6 @@ __all__ = [
     "OpKind",
     "TaskKind",
     "CompiledKernel",
-    "LOWERINGS",
-    "LoweringStrategy",
-    "ReferenceLowering",
-    "VectorizedLowering",
-    "resolve_lowering",
     "build_kernel_program",
     "build_spmv_program",
     "build_sptrsv_program",

@@ -176,8 +176,8 @@ class CompiledKernel:
 
         Every flat array (including ``values``, compared bit-for-bit)
         plus the scalar fields must match.  This is the property the
-        lowering-equivalence suite asserts between the reference and
-        vectorized strategies.
+        lowering-equivalence suite asserts between the batched lowering
+        and its per-element golden model.
         """
         if (self.name != other.name or self.n != other.n
                 or self.dependent != other.dependent

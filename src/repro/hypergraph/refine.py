@@ -6,172 +6,191 @@ is kept, and the rest rolled back.  Moves must respect per-constraint
 weight caps on the receiving side, which is how the multi-constraint
 balance of Sec. IV-C is enforced during refinement.
 
-Mirroring the simulator's issue layer (:mod:`repro.sim.issue`), the
-*bookkeeping* — how gains, cut counts, and boundaries are maintained —
-lives behind the :class:`RefineStrategy` interface while the selection
-loop (:func:`_fm_pass`) is shared, so every strategy makes identical
-move decisions:
+The selection loop (:func:`_fm_pass`) runs over a
+:class:`_BisectionState` that *maintains* the gains instead of
+recomputing them from incident edges on every heap pop:
 
-* :class:`ReferenceRefine` — the golden per-vertex Python model: gains
-  are recomputed from incident edges on demand.  Selected by
-  ``refine="reference"`` or ``AZUL_PART_REFERENCE=1``.
-* ``VectorizedRefine`` (:mod:`repro.hypergraph.refine_vec`, the
-  default) — maintained-gain bookkeeping: vectorized cut-count/gain
-  init, O(pins touched) delta-gain updates per move on plain-list
-  views of the CSR arrays, vectorized boundary extraction.
+* **init** — cut counts via one ``bincount`` over the flat pin array
+  and a per-vertex ``gains`` array from a single vectorized pass over
+  all (edge, pin) incidences.  The results, and the CSR arrays the
+  move loop walks, are then converted once to plain Python lists.
+* **move** — O(pins touched) delta-gain updates: one scan of the moved
+  vertex's incident edges and their pins, adding each closed-form
+  delta to a plain list in (edge, pin) order.  A move touches a few
+  dozen pins, where a numpy call per step would cost more than the
+  arithmetic.
+* **gain / fits_after_move / affected** — list lookups: the gain is
+  maintained, the part weights are per-constraint lists, and the dirty
+  set is the neighbor set the last move already collected.
+* **boundary** — vectorized cut-edge masks over ``pin_edge_ids``,
+  once per pass.
 
-Both strategies produce bit-identical assignments whenever hyperedge
-weights are dyadic rationals (every hypergraph the Azul mapping builds:
-integer-valued row/column weights and their coarsened sums), because
-then gain arithmetic is exact in either formulation; the deterministic
+Because Azul's hypergraphs carry dyadic edge weights (integers and
+their coarsened sums), the delta-gain arithmetic is exact, so the
+assignments are bit-identical to a golden recompute-from-scratch
+bookkeeping kept in ``tests/oracles``; the deterministic
 ``(-gain, vertex)`` tie-break does the rest.  This parity is enforced
 by ``tests/test_partitioner_equivalence.py``.
 
-New refinement schemes register themselves in :data:`STRATEGIES` (see
-``refine_vec`` for the idiom) and become selectable through
-``PartitionerOptions(refine=...)`` without touching the other layers.
-
 Layer contract: ``refine`` sits above ``hgraph`` and below
-``refine_vec``/``partitioner`` (see ``.importlinter`` and
-``tools/check_layers.py``).
+``partitioner`` (see ``.importlinter`` and ``tools/check_layers.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import Dict, List, Optional, Type
+from typing import List, Optional, Set
 
 import numpy as np
 
-from repro.config import ENV_PART_REFERENCE, env_truthy
 from repro.hypergraph.hgraph import Hypergraph
-
-#: Environment variable selecting the golden reference refinement
-#: (canonical name lives in :mod:`repro.config`; see
-#: :func:`repro.config.overrides`).
-REFERENCE_ENV = ENV_PART_REFERENCE
-
-#: Registered refinement strategies by name.  ``refine.py`` never
-#: imports the modules that populate it (they import *us*): strategies
-#: self-register at import time, and the package ``__init__`` imports
-#: every strategy module, so the registry is always complete by the
-#: time user code runs.
-STRATEGIES: Dict[str, Type["RefineStrategy"]] = {}
-
-
-def register_strategy(cls: Type["RefineStrategy"]) -> Type["RefineStrategy"]:
-    """Class decorator: add a strategy to :data:`STRATEGIES`."""
-    STRATEGIES[cls.name] = cls
-    return cls
-
-
-def _env_wants_reference() -> bool:
-    return env_truthy(os.environ.get(REFERENCE_ENV))
-
-
-def default_refine_name() -> str:
-    """Strategy used when ``refine`` is unset: env override or fast."""
-    return "reference" if _env_wants_reference() else "vectorized"
-
-
-def resolve_refine(name: Optional[str] = None) -> Type["RefineStrategy"]:
-    """Map a ``refine`` name (or ``None`` = default) to its strategy."""
-    if name is None:
-        name = default_refine_name()
-    try:
-        return STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown refine strategy {name!r}; "
-            f"choices: {', '.join(sorted(STRATEGIES))}"
-        ) from None
-
-
-class RefineStrategy:
-    """Interface: FM bookkeeping for one bisection refinement.
-
-    Subclasses provide :meth:`make_state`; the selection loop is shared
-    so strategies differ only in how they maintain gains and counts.
-    Strategies keep no cross-call state.
-    """
-
-    #: Strategy name this class implements (``refine=`` argument).
-    name: str = ""
-
-    def make_state(self, hgraph: Hypergraph,
-                   side: np.ndarray) -> "_BisectionState":
-        """Build the incremental cut/gain bookkeeping for a bisection."""
-        raise NotImplementedError
-
-    def refine(self, hgraph: Hypergraph, side: np.ndarray,
-               caps: np.ndarray, passes: int = 2,
-               stall_limit: int = 64) -> np.ndarray:
-        """Refine a bisection in place; returns the refined side array."""
-        state = self.make_state(hgraph, side)
-        for _ in range(passes):
-            if not _fm_pass(hgraph, state, caps, stall_limit):
-                break
-        return side
 
 
 class _BisectionState:
-    """Incremental cut/gain bookkeeping for one bisection (reference).
+    """Incremental cut/gain bookkeeping for one bisection.
 
-    The per-vertex Python implementation: ``gain`` recomputes from the
-    incident edges on demand.  Subclasses (the vectorized strategy)
-    override the bookkeeping but must preserve the exact semantics of
-    every method — the shared :func:`_fm_pass` depends on it.
+    The pins of each edge on side 0 and the per-side constraint
+    weights are kept as the plain lists ``_count0`` and
+    ``_part_weights`` (one row per side), next to the maintained
+    per-vertex ``gains`` list; ``side`` is the caller's array, kept in
+    step with the list view the move loop reads.
     """
 
     def __init__(self, hgraph: Hypergraph, side: np.ndarray):
         self.hgraph = hgraph
         self.side = side
         self.edge_sizes = hgraph.edge_sizes()
-        # Pins of each edge currently on side 0.
-        self.count0 = np.zeros(hgraph.n_edges, dtype=np.int64)
-        pin_sides = side[hgraph.pins]
-        for e in range(hgraph.n_edges):
-            start, end = hgraph.edge_ptr[e], hgraph.edge_ptr[e + 1]
-            self.count0[e] = int((pin_sides[start:end] == 0).sum())
-        self.part_weights = np.zeros((2, hgraph.n_constraints))
+        pin_edge = hgraph.pin_edge_ids()
+        pin_side = side[hgraph.pins]
+        # Pins of each edge currently on side 0 (one bincount pass).
+        count0 = np.bincount(
+            pin_edge,
+            weights=(pin_side == 0).astype(np.float64),
+            minlength=hgraph.n_edges,
+        ).astype(np.int64)
+        part_weights = np.zeros((2, hgraph.n_constraints))
         for s in (0, 1):
             members = side == s
-            self.part_weights[s] = hgraph.vertex_weights[members].sum(axis=0)
+            part_weights[s] = hgraph.vertex_weights[members].sum(axis=0)
+        # Per-vertex gains from one pass over all (edge, pin) slots:
+        # the moved-edge contribution of pin u is +w when u is the lone
+        # pin on its side (the move uncuts e) and -w when every pin of
+        # e sits on u's side (the move cuts e).
+        sz = self.edge_sizes[pin_edge]
+        c0 = count0[pin_edge]
+        on_my = np.where(pin_side == 0, c0, sz - c0)
+        contrib = hgraph.edge_weights[pin_edge] * (
+            (on_my == 1).astype(np.float64) - (on_my == sz)
+        )
+        gains = np.bincount(
+            hgraph.pins, weights=contrib, minlength=hgraph.n_vertices
+        )
+        ve_ptr, ve_ids = hgraph.incidence_arrays()
+
+        # List views the per-move loops index (built once per state).
+        self._count0: List[int] = count0.tolist()
+        self._part_weights: List[List[float]] = part_weights.tolist()
+        self.gains: List[float] = gains.tolist()
+        self._side: List[int] = side.tolist()
+        self._sizes: List[int] = self.edge_sizes.tolist()
+        self._weights: List[float] = hgraph.edge_weights.tolist()
+        self._pins: List[int] = hgraph.pins.tolist()
+        self._edge_ptr: List[int] = hgraph.edge_ptr.tolist()
+        self._ve_ptr: List[int] = ve_ptr.tolist()
+        self._ve_ids: List[int] = ve_ids.tolist()
+        # Vertex-weight rows are converted on first use: a full
+        # ``tolist`` of the (n, constraints) array costs more than the
+        # moves of a typical call.
+        self._weight_rows: List[Optional[List[float]]] = (
+            [None] * hgraph.n_vertices
+        )
+        self._caps: np.ndarray = np.empty((0, 0))
+        self._cap_rows: List[List[float]] = []
+        # Neighbors the last move touched (reused by affected()).
+        self._last_move: int = -1
+        self._last_neighbors: Set[int] = set()
+
+    def _vertex_weight(self, v: int) -> List[float]:
+        row = self._weight_rows[v]
+        if row is None:
+            row = self.hgraph.vertex_weights[v].tolist()
+            self._weight_rows[v] = row
+        return row
 
     def gain(self, v: int) -> float:
-        """Cut reduction if ``v`` switches sides."""
-        s = self.side[v]
-        total = 0.0
-        for e in self.hgraph.vertex_edges(v):
-            e = int(e)
-            size = self.edge_sizes[e]
-            if size < 2:
-                continue  # single-pin edges can never be cut
-            on_my_side = self.count0[e] if s == 0 else size - self.count0[e]
-            if on_my_side == 1:
-                total += self.hgraph.edge_weights[e]  # move uncuts the edge
-            elif on_my_side == size:
-                total -= self.hgraph.edge_weights[e]  # move cuts the edge
-        return total
+        """Cut reduction if ``v`` switches sides (O(1) lookup)."""
+        return self.gains[v]
 
     def move(self, v: int) -> None:
-        """Switch ``v``'s side, updating edge counts and part weights."""
-        s = int(self.side[v])
-        delta = -1 if s == 0 else 1
-        for e in self.hgraph.vertex_edges(v):
-            self.count0[int(e)] += delta
-        self.part_weights[s] -= self.hgraph.vertex_weights[v]
-        self.part_weights[1 - s] += self.hgraph.vertex_weights[v]
+        """Switch ``v``'s side with O(pins touched) delta-gain updates."""
+        side = self._side
+        gains = self.gains
+        count0 = self._count0
+        sizes = self._sizes
+        weights = self._weights
+        pins = self._pins
+        edge_ptr = self._edge_ptr
+        s = side[v]
+        step = -1 if s == 0 else 1
+        neighbors: Set[int] = set()
+        for e in self._ve_ids[self._ve_ptr[v]:self._ve_ptr[v + 1]]:
+            sz = sizes[e]
+            c0 = count0[e]
+            count0[e] = c0 + step
+            edge_pins = pins[edge_ptr[e]:edge_ptr[e + 1]]
+            neighbors.update(edge_pins)
+            # Pre-move pin counts on v's side (cs) and the far side (ct).
+            cs = c0 if s == 0 else sz - c0
+            ct = sz - cs
+            w = weights[e]
+            # Same-side pins: moving v away adds +w when v and u were
+            # the only same-side pins (u becomes lone: cs == 2) and +w
+            # when the edge was uncut on this side (u can no longer
+            # uncut for free: cs == sz, reclaiming the -w it carried).
+            # Far-side pins lose -w when v joins a lone pin (ct == 1)
+            # or fills the edge (ct == sz - 1).  Zero deltas are
+            # skipped, and so are edges with none: adding zero never
+            # changes a gain's value.
+            same = w * ((cs == 2) + (cs == sz))
+            far = -w * ((ct == 1) + (ct == sz - 1))
+            if not (same or far):
+                continue
+            for u in edge_pins:
+                if u == v:
+                    continue
+                if side[u] == s:
+                    if same:
+                        gains[u] += same
+                elif far:
+                    gains[u] += far
+        # Every per-edge contribution of v itself flips sign exactly.
+        gains[v] = -gains[v]
+        neighbors.discard(v)
+
+        vw = self._vertex_weight(v)
+        source = self._part_weights[s]
+        destination = self._part_weights[1 - s]
+        for c, weight in enumerate(vw):
+            source[c] -= weight
+            destination[c] += weight
+        side[v] = 1 - s
         self.side[v] = 1 - s
+
+        self._last_move = v
+        self._last_neighbors = neighbors
 
     def fits_after_move(self, v: int, caps: np.ndarray) -> bool:
         """Whether moving ``v`` keeps the receiving side under its caps."""
-        destination = 1 - int(self.side[v])
-        new_weight = (
-            self.part_weights[destination] + self.hgraph.vertex_weights[v]
-        )
-        return bool((new_weight <= caps[destination]).all())
+        if caps is not self._caps:
+            self._caps = caps
+            self._cap_rows = caps.tolist()
+        destination = 1 - self._side[v]
+        for weight, extra, cap in zip(self._part_weights[destination],
+                                      self._vertex_weight(v),
+                                      self._cap_rows[destination]):
+            if not weight + extra <= cap:
+                return False
+        return True
 
     def affected(self, v: int) -> List[int]:
         """Vertices whose gain may change when ``v`` moves.
@@ -180,42 +199,28 @@ class _BisectionState:
         unique and ascending — the dirty set re-pushed once per move
         wave by :func:`_fm_pass`.
         """
-        seen = set()
-        for e in self.hgraph.vertex_edges(v):
-            for u in self.hgraph.edge_pins(int(e)):
-                u = int(u)
-                if u != v:
-                    seen.add(u)
-        return sorted(seen)
+        if v == self._last_move:
+            neighbors = self._last_neighbors
+        else:
+            pins = self._pins
+            edge_ptr = self._edge_ptr
+            neighbors = set()
+            for e in self._ve_ids[self._ve_ptr[v]:self._ve_ptr[v + 1]]:
+                neighbors.update(pins[edge_ptr[e]:edge_ptr[e + 1]])
+            neighbors.discard(v)
+        return sorted(neighbors)
 
     def boundary_vertices(self) -> np.ndarray:
         """Vertices incident to at least one cut edge (ascending)."""
         hgraph = self.hgraph
-        sizes = self.edge_sizes
-        cut_edges = (self.count0 > 0) & (self.count0 < sizes)
-        boundary = np.zeros(hgraph.n_vertices, dtype=bool)
-        for e in np.nonzero(cut_edges)[0]:
-            boundary[hgraph.edge_pins(int(e))] = True
-        return np.nonzero(boundary)[0]
-
-
-@register_strategy
-class ReferenceRefine(RefineStrategy):
-    """The golden per-vertex Python FM model.
-
-    Selected by ``refine="reference"`` or ``AZUL_PART_REFERENCE=1``.
-    """
-
-    name = "reference"
-
-    def make_state(self, hgraph: Hypergraph,
-                   side: np.ndarray) -> _BisectionState:
-        return _BisectionState(hgraph, side)
+        count0 = np.asarray(self._count0, dtype=np.int64)
+        cut_edges = (count0 > 0) & (count0 < self.edge_sizes)
+        mask = cut_edges[hgraph.pin_edge_ids()]
+        return np.unique(hgraph.pins[mask])
 
 
 def fm_refine(hgraph: Hypergraph, side: np.ndarray, caps: np.ndarray,
-              passes: int = 2, stall_limit: int = 64,
-              refine: Optional[str] = None) -> np.ndarray:
+              passes: int = 2, stall_limit: int = 64) -> np.ndarray:
     """Refine a bisection in place; returns the refined side array.
 
     Parameters
@@ -228,21 +233,19 @@ def fm_refine(hgraph: Hypergraph, side: np.ndarray, caps: np.ndarray,
         Maximum number of full FM passes.
     stall_limit:
         A pass aborts after this many consecutive non-improving moves.
-    refine:
-        Strategy name; ``None`` resolves the default (``vectorized``
-        unless ``AZUL_PART_REFERENCE=1``).
     """
-    strategy = resolve_refine(refine)()
-    return strategy.refine(
-        hgraph, side, caps, passes=passes, stall_limit=stall_limit
-    )
+    state = _BisectionState(hgraph, side)
+    for _ in range(passes):
+        if not _fm_pass(hgraph, state, caps, stall_limit):
+            break
+    return side
 
 
 def _fm_pass(hgraph: Hypergraph, state: _BisectionState, caps: np.ndarray,
              stall_limit: int) -> bool:
     """One FM pass; returns True if the cut improved.
 
-    Shared by every strategy: the lazy-deletion heap pops the highest
+    The lazy-deletion heap pops the highest
     current gain (ties to the lowest vertex id), stale entries are
     re-pushed with their current gain, and each move re-pushes its
     dirty neighborhood *once* (``state.affected``) instead of flooding

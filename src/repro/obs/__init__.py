@@ -24,8 +24,8 @@ Design constraints (see ``docs/observability.md``):
   ``tools/check_layers.py`` and ``.importlinter``.
 * **Near-zero cost when disabled.**  Observability is *off* by
   default; every facade call short-circuits on one module-global flag
-  and ``span``/``timer`` return a shared no-op handle.  The simulator
-  engines' hot loops carry **no** instrumentation at all — their issue
+  and ``span``/``timer`` return a shared no-op handle.  The
+  simulator's hot loops carry **no** instrumentation at all — their issue
   traces are bridged post-hoc from ``KernelResult.issue_trace`` — so
   the disabled-path overhead is bounded by a handful of flag checks
   per pipeline stage (guarded by the ``sim_engine`` benchmark suite).

@@ -46,8 +46,8 @@ def write_metrics(path: str, snapshot: Dict[str, Any],
 
     ``snapshot`` is :meth:`MetricsRegistry.snapshot` output (counters /
     gauges / histograms); ``extra`` adds top-level sections — the
-    callers inject ``overrides`` (effective environment escape
-    hatches, :func:`repro.config.overrides`) and cumulative cache
+    callers inject ``overrides`` (effective environment settings,
+    :func:`repro.config.overrides`) and cumulative cache
     counters so every artifact is self-describing.
     """
     payload: Dict[str, Any] = {"schema": METRICS_SCHEMA}

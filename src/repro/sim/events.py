@@ -1,7 +1,7 @@
 """Event core: calendar queue, deterministic tie-breaking, drain loop.
 
 The bottom layer of the simulator core (``events ← fabric ← issue ←
-engine``).  Both issue strategies and the fabric push into one
+engine``).  The issue model and the fabric push into one
 :class:`EventQueue`; ordering is a strict weak order on
 ``(time, sequence)`` so simultaneous events always replay in push
 order — the determinism the bit-identity suite
@@ -73,7 +73,7 @@ def drain(queue: EventQueue, on_pump: Handler, on_mcast: Handler,
           on_partial: Handler) -> None:
     """Run the event loop to exhaustion.
 
-    The single drain loop shared by both engines: pops events in
+    The simulator's single drain loop: pops events in
     ``(time, seq)`` order and dispatches on kind.  Handlers receive
     ``(payload, time)``; stale-pump filtering is the pump handler's
     responsibility (a tile has at most one *live* pump, deduplicated

@@ -1,25 +1,18 @@
 """PE issue layer: pipeline, RAW-hazard, and thread-context timing.
 
-The issue model — *when* each FMAC/ADD/MUL/SEND leaves a PE — lives
-behind the :class:`IssueStrategy` interface.  Two implementations share
-the event core, fabric, and numeric state:
+:class:`BatchedIssue` decides *when* each FMAC/ADD/MUL/SEND leaves a
+PE (Sec. V-A).  It is a run-granularity model: a ``T_SAAC``
+column-segment run is issued as one batched step whose per-op issue
+times are computed analytically (numpy for long runs), bounded by an
+exactness *horizon* so cycles, op counts, link stats, spills, and
+outputs stay bit-identical to an operation-granularity model that
+makes one selection scan and one issue per operation.  That golden
+per-op model lives in ``tests/oracles`` and
+``tests/test_engine_equivalence.py`` holds the two equal.
 
-* :class:`PerOpIssue` — the golden operation-granularity model: every
-  operation is one selection scan + one issue, with heap round-trips
-  between issue slots.  Each step maps 1:1 onto the hardware
-  description (Sec. V-A).
-* :class:`BatchedIssue` — the run-granularity model (the default): a
-  ``T_SAAC`` column-segment run is issued as one batched step whose
-  per-op issue times are computed analytically (numpy for long runs),
-  bounded by an exactness *horizon* so cycles, op counts, link stats,
-  spills, and outputs stay bit-identical to :class:`PerOpIssue`
-  (enforced by ``tests/test_engine_equivalence.py``).
-
-A strategy is bound per run to the composition root (duck-typed as
-:class:`IssueCore`), which supplies the shared state, event queue,
-fabric, and completion callbacks.  New issue granularities (e.g. the
-medium-granularity SpTRSV dataflow of Chen et al.) plug in as further
-``IssueStrategy`` subclasses without touching the other layers.
+The issue model is bound per run to the composition root (duck-typed
+as :class:`IssueCore`), which supplies the shared state, event queue,
+fabric, and completion callbacks.
 
 Layer contract: ``issue`` may import ``events``/``state``/``fabric``
 but never the engine composition root.
@@ -42,13 +35,13 @@ from repro.sim.state import (
     TileState,
 )
 
-#: Remaining-run length at which the batched strategy switches from the
-#: scalar recurrence to the numpy closed form.
+#: Remaining-run length at which a batch switches from the scalar
+#: recurrence to the numpy closed form.
 VEC_THRESHOLD = 12
 
 
 class IssueCore(Protocol):
-    """What an :class:`IssueStrategy` needs from the composition root."""
+    """What :class:`BatchedIssue` needs from the composition root."""
 
     state: KernelState
     events: EventQueue
@@ -65,16 +58,35 @@ class IssueCore(Protocol):
     def _schedule_pump(self, tile_id: int, time: int) -> None: ...
 
 
-class IssueStrategy:
-    """Interface: one PE's operation-selection and issue timing.
+class BatchedIssue:
+    """Run-granularity issue: batches column-segment runs exactly.
 
     ``bind`` captures per-run references from the composition root;
     ``pump(tile_id, now)`` then services one PUMP event (including the
-    stale-pump filter).  Strategies may keep no cross-run state.
-    """
+    stale-pump filter).  The model keeps no cross-run state.
 
-    #: Engine name this strategy implements (``engine=`` argument).
-    name: str = ""
+    Exactness argument (mirrored by ``tests/test_engine_equivalence.py``):
+
+    * **Horizon** ``h`` — the earliest pending heap event.  While the
+      next issue time is strictly below ``h`` no external event (message
+      arrival, other tile's pump) could have interposed in the per-op
+      model, so the pump keeps going inline instead of bouncing through
+      the heap.  Ideal PEs additionally issue everything ready at the
+      current pump time regardless of the heap, exactly like the per-op
+      loop.
+    * **Window competition** — a batched SAAC run continues only while
+      its next op's issue time stays strictly below every *other*
+      window task's hazard floor ``max(task_time, acc_ready[row])``.
+      Accumulator-ready times only grow, so floors computed at batch
+      start remain valid; ties conservatively end the batch and defer
+      to the exact selection scan.
+    * **Triggers** — the first op whose last local contribution lands
+      (``local_rem`` hits zero) ends the batch, because its
+      input-done side effect can enqueue work and push events.
+    * **Numerics** — rows within a run are distinct, so the vectorized
+      ``partial[rows] += xval * vals`` performs the identical IEEE-754
+      operations in the identical order as per-op issue.
+    """
 
     def bind(self, core: IssueCore) -> None:
         """Capture per-run references (state, events, fabric, hooks)."""
@@ -96,14 +108,10 @@ class IssueStrategy:
         self.schedule_pump: Callable[[int, int], None] = \
             core._schedule_pump
 
-    def pump(self, tile_id: int, now: int) -> None:
-        """Service one PUMP event at ``now`` on ``tile_id``."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     def _issue_other(self, tile_id: int, tile: TileState, task: List,
                      task_index: int, issue_time: int) -> None:
-        """Issue one non-SAAC operation (shared by both strategies)."""
+        """Issue one non-SAAC operation."""
         kind = task[1]
         ic = self.ic
         tile.busy += ic
@@ -150,119 +158,6 @@ class IssueStrategy:
                 self.traverse(tile_id, parent, completion,
                               EV_PARTIAL, (parent, row, value))
 
-
-class PerOpIssue(IssueStrategy):
-    """Operation-granularity issue (the golden reference model).
-
-    Every operation makes a full selection scan and, on a non-ideal
-    PE, a heap round-trip per issue slot, so events map 1:1 onto the
-    hardware description.  Selected by ``engine="reference"`` or
-    ``AZUL_SIM_REFERENCE=1``.
-    """
-
-    name = "reference"
-
-    def _op_ready_time(self, tile: TileState, task: List) -> int:
-        """Earliest cycle the task's current operation can issue."""
-        kind = task[1]
-        ready = task[0]
-        pe_time = tile.pe_time
-        if pe_time > ready:
-            ready = pe_time
-        if kind == T_SAAC:
-            hazard = tile.acc_ready[task[2][task[5]]]
-        elif kind == T_SEND:
-            return ready
-        else:  # T_ADD / T_MUL gate on their row's accumulator
-            hazard = tile.acc_ready[task[2]]
-        return hazard if hazard > ready else ready
-
-    def pump(self, tile_id: int, now: int) -> None:
-        """Issue every operation that can start at ``now``."""
-        tile = self.tiles[tile_id]
-        if tile.next_pump != now:
-            return  # stale: a different pump is now scheduled
-        tile.next_pump = None
-        ideal = self.ideal
-        limit = self.limit
-        ready_time = self._op_ready_time
-        while tile.tasks:
-            tasks = tile.tasks
-            window = limit if limit < len(tasks) else len(tasks)
-            best_index = 0
-            best_time = ready_time(tile, tasks[0])
-            for index in range(1, window):
-                ready = ready_time(tile, tasks[index])
-                if ready < best_time:
-                    best_time = ready
-                    best_index = index
-            if best_time > now:
-                self.schedule_pump(tile_id, best_time)
-                return
-            self._issue_op(tile_id, tile, tasks[best_index], best_index,
-                           best_time)
-            if not ideal and tile.tasks:
-                # One issue slot consumed; revisit at the next free cycle.
-                self.schedule_pump(tile_id, tile.pe_time)
-                return
-
-    def _issue_op(self, tile_id: int, tile: TileState, task: List,
-                  task_index: int, issue_time: int) -> None:
-        """Execute one operation of ``task`` at ``issue_time``."""
-        if task[1] != T_SAAC:
-            self._issue_other(tile_id, tile, task, task_index, issue_time)
-            return
-        tile.busy += self.ic
-        if self.trace is not None:
-            self.trace.append((issue_time, tile_id, T_SAAC))
-        if not self.ideal:
-            tile.pe_time = issue_time + self.ic
-        rows, vals, xval, pos = task[2], task[3], task[4], task[5]
-        row = rows[pos]
-        completion = issue_time + self.alu_latency
-        tile.op_counts[T_SAAC] += 1
-        tile.acc_ready[row] = completion
-        tile.partial[row] += xval * vals[pos]
-        task[5] = pos + 1
-        if task[5] >= len(rows):
-            del tile.tasks[task_index]
-        local_rem = tile.local_rem
-        remaining = local_rem[row] - 1
-        local_rem[row] = remaining
-        state = self.state
-        if completion > state.end_time:
-            state.end_time = completion
-        if remaining == 0:
-            self.on_input_done(row, tile_id, completion)
-
-
-class BatchedIssue(IssueStrategy):
-    """Run-granularity issue: batches column-segment runs exactly.
-
-    Exactness argument (mirrored by ``tests/test_engine_equivalence.py``):
-
-    * **Horizon** ``h`` — the earliest pending heap event.  While the
-      next issue time is strictly below ``h`` no external event (message
-      arrival, other tile's pump) could have interposed in the per-op
-      model, so the pump keeps going inline instead of bouncing through
-      the heap.  Ideal PEs additionally issue everything ready at the
-      current pump time regardless of the heap, exactly like the per-op
-      loop.
-    * **Window competition** — a batched SAAC run continues only while
-      its next op's issue time stays strictly below every *other*
-      window task's hazard floor ``max(task_time, acc_ready[row])``.
-      Accumulator-ready times only grow, so floors computed at batch
-      start remain valid; ties conservatively end the batch and defer
-      to the exact selection scan.
-    * **Triggers** — the first op whose last local contribution lands
-      (``local_rem`` hits zero) ends the batch, because its
-      input-done side effect can enqueue work and push events.
-    * **Numerics** — rows within a run are distinct, so the vectorized
-      ``partial[rows] += xval * vals`` performs the identical IEEE-754
-      operations in the identical order as per-op issue.
-    """
-
-    name = "batched"
 
     def pump(self, tile_id: int, now: int) -> None:
         """Horizon-bounded pump: drains inline while no event intervenes.
@@ -609,21 +504,3 @@ class BatchedIssue(IssueStrategy):
         else:
             running = times[-1]
         return count, times, running
-
-
-#: Registered issue strategies by engine name.
-STRATEGIES: Dict[str, type] = {
-    PerOpIssue.name: PerOpIssue,
-    BatchedIssue.name: BatchedIssue,
-}
-
-
-def resolve_strategy(engine: str) -> type:
-    """Map an ``engine`` name to its :class:`IssueStrategy` class."""
-    try:
-        return STRATEGIES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown simulator engine {engine!r}; "
-            f"choices: {', '.join(sorted(STRATEGIES))}"
-        ) from None

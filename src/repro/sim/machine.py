@@ -91,8 +91,7 @@ class AzulMachine:
     :class:`~repro.sim.fabric.FabricModel` over the configured geometry
     (``config.topology`` selects torus or mesh via
     :func:`repro.comm.make_geometry`); tree/link queries go through
-    ``self.fabric`` rather than the raw geometry.  ``self.torus`` is
-    kept as a backwards-compatible alias for the geometry object.
+    ``self.fabric`` rather than the raw geometry.
     """
 
     def __init__(self, config: Optional[AzulConfig] = None,
@@ -102,7 +101,6 @@ class AzulMachine:
         self.fabric = FabricModel(
             make_geometry(self.config), self.config.hop_cycles
         )
-        self.torus = self.fabric.geometry
 
     # ------------------------------------------------------------------
     def compile(self, matrix: CSRMatrix, lower: CSRMatrix,
@@ -115,7 +113,7 @@ class AzulMachine:
                 f"machine has {self.config.num_tiles}"
             )
         return build_pcg_program(
-            matrix, lower, placement, self.torus, self.config,
+            matrix, lower, placement, self.fabric.geometry, self.config,
             multicast=multicast,
         )
 
@@ -123,7 +121,7 @@ class AzulMachine:
                    record_issue_trace: bool = False) -> KernelResult:
         """Simulate a single compiled kernel."""
         simulator = KernelSimulator(
-            program_kernel, self.torus, self.config, self.pe,
+            program_kernel, self.fabric.geometry, self.config, self.pe,
             record_issue_trace=record_issue_trace,
         )
         return simulator.run(x=x, b=b)

@@ -1,12 +1,12 @@
 """Numeric state layer: partials, remaining-input counts, solve values.
 
 One implementation of the simulator's *functional* state, shared by
-both issue strategies: per-tile dense accumulators and task queues
+every issue model: per-tile dense accumulators and task queues
 (:class:`TileState`), plus the kernel-wide completion bookkeeping
 (:class:`KernelState`).  Timing layers (fabric, issue) mutate this
 state but the numeric semantics — which IEEE-754 operations run, in
 which order — are defined here once, so functional correctness cannot
-diverge between engines.
+diverge between issue models.
 
 Layer contract: ``state`` sits directly above ``events`` and imports
 nothing else from :mod:`repro.sim`.

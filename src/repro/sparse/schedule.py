@@ -366,11 +366,11 @@ class IC0Schedule:
     # ------------------------------------------------------------------
     def attempt(self, lower: CSRMatrix,
                 diag_shift: float) -> Optional[np.ndarray]:
-        """One numeric IC(0) attempt; None on breakdown (like reference).
+        """One numeric IC(0) attempt; None on breakdown.
 
         Breakdown — a zero pivot or a non-positive diagonal — returns
         ``None`` so the caller can retry with a larger diagonal shift,
-        mirroring ``ReferenceKernels.ic0_attempt``.
+        as the up-looking row-by-row factorization does.
         """
         tri = self.tri
         data = lower.data.copy()

@@ -22,6 +22,7 @@ operation-level cycle simulator is tractable in pure Python; the
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -267,7 +268,9 @@ def get_suite_matrix(name: str, scale: int = 1, with_rhs: bool = True):
 
     Returns ``(matrix, b)`` when ``with_rhs`` is true, else just the
     matrix.  The right-hand side is derived from a known random solution
-    (see :func:`repro.sparse.generators.make_rhs`).
+    (see :func:`repro.sparse.generators.make_rhs`) seeded from a CRC-32
+    of the name, so ``b`` is the same in every process; the salted
+    built-in ``hash`` would change it with ``PYTHONHASHSEED``.
     """
     if name not in _BY_NAME:
         raise KeyError(
@@ -276,7 +279,7 @@ def get_suite_matrix(name: str, scale: int = 1, with_rhs: bool = True):
     matrix = _cached_build(name, scale)
     if not with_rhs:
         return matrix
-    b = gen.make_rhs(matrix, seed=hash(name) % (2**31))
+    b = gen.make_rhs(matrix, seed=zlib.crc32(name.encode("utf-8")))
     return matrix, b
 
 

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,33 @@ class TestCorruption:
         payload.with_name(payload.name + ".meta.json").unlink()
         assert cache.get("ns", key, PICKLE) is MISS
         assert cache.stats.corruptions == 1
+
+    @pytest.mark.parametrize("vanished", ["meta", "entry"])
+    def test_entry_vanishing_mid_read_is_a_miss(self, cache, monkeypatch,
+                                                vanished):
+        """Another process's eviction or ``clear`` unlinking the entry
+        between the existence check and the read is a plain miss: no
+        corruption is counted and nothing is quarantined."""
+        key = cache.key("vanish", vanished)
+        cache.put("ns", key, {"v": 1}, PICKLE)
+        cache._memory.clear()
+        (payload,) = _payload_files(cache)
+        meta = payload.with_name(payload.name + ".meta.json")
+        doomed = [meta] if vanished == "meta" else [payload, meta]
+        read_bytes = Path.read_bytes
+
+        def removed_after_check(path):
+            if path == payload:
+                for victim in doomed:
+                    victim.unlink()
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", removed_after_check)
+        assert cache.get("ns", key, PICKLE) is MISS
+        assert cache.stats.corruptions == 0
+        assert cache.stats.misses == 1
+        assert not cache.quarantine_dir.exists() \
+            or not any(cache.quarantine_dir.iterdir())
 
     def test_checksum_mismatch_detected(self, cache):
         key = cache.key("bitrot")
@@ -434,3 +462,78 @@ for i in range(int(sys.argv[1])):
             proc.stdout.close()
         persisted = ArtifactCache(tmp_path / "shared").persisted_stats()
         assert persisted.misses == len(procs) * flushes
+
+    def test_reads_racing_evictions_never_corrupt(self, tmp_path):
+        # One process writes fresh entries under a budget of a few
+        # entries, so every put evicts; three others keep reading every
+        # entry whose metadata is on disk (i.e. whose put completed)
+        # with no memory tier, so their reads race those evictions.
+        # There are more processes than a typical runner has cores.
+        writer = r"""
+import sys
+from pathlib import Path
+from repro.cache import ArtifactCache, PICKLE
+
+cache = ArtifactCache.from_env(max_bytes=int(sys.argv[2]),
+                               persist_stats=False)
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(int(sys.argv[1])):
+    cache.put("race", cache.key("race", i), {"v": "x" * 2000}, PICKLE)
+Path(sys.argv[3]).touch()
+"""
+        reader = r"""
+import json, sys
+from pathlib import Path
+from repro.cache import ArtifactCache, PICKLE
+
+cache = ArtifactCache.from_env(memory_entries=0, persist_stats=False)
+directory = cache.root / "race"
+suffix = PICKLE.suffix + ".meta.json"
+done = Path(sys.argv[1])
+print("ready", flush=True)
+sys.stdin.readline()
+finished = False
+while not finished:
+    finished = done.exists()
+    if directory.exists():
+        for meta in sorted(directory.glob("*" + suffix)):
+            cache.get("race", meta.name[:-len(suffix)], PICKLE)
+print(json.dumps(cache.stats.as_dict()), flush=True)
+"""
+        probe = ArtifactCache(tmp_path / "probe", persist_stats=False)
+        probe.put("race", "probe", {"v": "x" * 2000}, PICKLE)
+        budget = int(probe.disk_bytes() * 4.5)
+        done = tmp_path / "writer-done"
+        env = dict(os.environ)
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "shared")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, *args],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                env=env,
+            )
+            for script, args in (
+                [(writer, ("300", str(budget), str(done)))]
+                + [(reader, (str(done),))] * 3
+            )
+        ]
+        for proc in procs:
+            assert proc.stdout.readline().strip() == "ready"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        outputs = []
+        for proc in procs:
+            proc.stdin.close()
+            outputs.append(proc.stdout.read())
+            assert proc.wait(timeout=120) == 0
+            proc.stdout.close()
+        for output in outputs[1:]:
+            stats = json.loads(output)
+            assert stats["corruptions"] == 0
+            assert stats["quarantined"] == 0
+        quarantine = tmp_path / "shared" / "quarantine"
+        assert not quarantine.exists() or not any(quarantine.iterdir())

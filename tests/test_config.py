@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import AzulConfig, default_config, paper_config
+from repro.config import AzulConfig, default_config, overrides, paper_config
 
 
 class TestAzulConfig:
@@ -52,3 +52,14 @@ class TestAzulConfig:
     def test_invalid_parameters_rejected(self, field, value):
         with pytest.raises(ValueError):
             AzulConfig(**{field: value})
+
+
+def test_overrides_report_only_cache_and_jobs_settings():
+    """Every environment setting selects real behaviour: the cache and
+    the sweep width.  No setting picks an implementation."""
+    assert set(overrides()) == {
+        "REPRO_CACHE_DIR",
+        "REPRO_CACHE_MAX_BYTES",
+        "REPRO_CACHE_DISABLE",
+        "REPRO_JOBS",
+    }

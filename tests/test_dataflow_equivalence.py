@@ -1,54 +1,30 @@
-"""Equivalence contract of the dataflow lowering strategies.
+"""Equivalence contract of the dataflow lowering.
 
-The array-backed ``VectorizedLowering`` must be an *exact* drop-in for
-the per-element ``ReferenceLowering``: bit-identical compiled programs
-on real suite matrices across geometries and multicast modes,
-identical end-to-end simulated cycles, and a clean escape hatch
-(``AZUL_DATAFLOW_REFERENCE``) through the strategy registry.  Also
-covers the content-addressed program cache built on that guarantee:
-sweep points differing only in simulator knobs reuse one compilation.
+The array-backed ``lower_kernel`` must be an *exact* drop-in for the
+per-element ``ReferenceLowering`` golden model in ``tests/oracles``:
+bit-identical compiled programs on real suite matrices across
+geometries and multicast modes, and identical end-to-end simulated
+cycles.  ``TestLoweringRegistry`` holds the one-lowering contract: no
+registry, builder argument or environment switch selects another.
+Also covers the content-addressed program cache built on that
+guarantee: sweep points differing only in simulator knobs reuse one
+compilation.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
-from repro import obs
+from repro import dataflow, obs
 from repro.cache import ArtifactCache
 from repro.comm import MeshGeometry, TorusGeometry
-from repro.config import ENV_DATAFLOW_REFERENCE, AzulConfig, overrides
+from repro.config import AzulConfig, overrides
 from repro.core import map_block
-from repro.dataflow import (
-    LOWERINGS,
-    ReferenceLowering,
-    VectorizedLowering,
-    build_pcg_program,
-    resolve_lowering,
-)
-from repro.dataflow.lower import default_lowering_name
+from repro.dataflow import build_pcg_program, kernel_program
 from repro.precond import ic0
 from repro.sparse.suite import get_suite_matrix
+from tests.oracles.lowering import ReferenceLowering, use_reference_lowering
 
 CONFIG = AzulConfig(mesh_rows=4, mesh_cols=4)
 N_TILES = 16
-
-
-@contextmanager
-def _lowering_env(reference: bool):
-    """Temporarily force (or clear) the reference-lowering escape hatch."""
-    old = os.environ.get(ENV_DATAFLOW_REFERENCE)
-    try:
-        if reference:
-            os.environ[ENV_DATAFLOW_REFERENCE] = "1"
-        else:
-            os.environ.pop(ENV_DATAFLOW_REFERENCE, None)
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(ENV_DATAFLOW_REFERENCE, None)
-        else:
-            os.environ[ENV_DATAFLOW_REFERENCE] = old
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +42,12 @@ def mapped(request):
     return get
 
 
-def _build_pair(matrix, lower, placement, geometry, multicast):
-    with _lowering_env(reference=False):
-        vectorized = build_pcg_program(
-            matrix, lower, placement, geometry, CONFIG, multicast=multicast,
-        )
-    with _lowering_env(reference=True):
+def _build_pair(monkeypatch, matrix, lower, placement, geometry, multicast):
+    vectorized = build_pcg_program(
+        matrix, lower, placement, geometry, CONFIG, multicast=multicast,
+    )
+    with monkeypatch.context() as patch:
+        use_reference_lowering(patch)
         reference = build_pcg_program(
             matrix, lower, placement, geometry, CONFIG, multicast=multicast,
         )
@@ -86,10 +62,11 @@ class TestBitParity:
         TorusGeometry(4, 4), MeshGeometry(4, 4),
     ], ids=["torus", "mesh"])
     @pytest.mark.parametrize("multicast", ["tree", "unicast"])
-    def test_programs_bit_identical(self, mapped, name, geometry, multicast):
+    def test_programs_bit_identical(self, mapped, name, geometry, multicast,
+                                    monkeypatch):
         matrix, lower, placement, _ = mapped(name)
         vectorized, reference = _build_pair(
-            matrix, lower, placement, geometry, multicast,
+            monkeypatch, matrix, lower, placement, geometry, multicast,
         )
         for kernel in ("spmv", "sptrsv_lower", "sptrsv_upper"):
             kv = getattr(vectorized, kernel)
@@ -97,13 +74,14 @@ class TestBitParity:
             assert kv.same_program(kr), (name, kernel, multicast)
             assert kv.total_fmacs == kr.total_fmacs
 
-    def test_identical_end_to_end_cycles(self, mapped):
+    def test_identical_end_to_end_cycles(self, mapped, monkeypatch):
         from repro.sim.machine import AzulMachine, verify_iteration
 
         matrix, lower, placement, b = mapped("tmt_sym")
         machine = AzulMachine(CONFIG)
         vectorized, reference = _build_pair(
-            matrix, lower, placement, machine.torus, "tree",
+            monkeypatch, matrix, lower, placement, machine.fabric.geometry,
+            "tree",
         )
         result_v = machine.simulate_iteration(vectorized, p=b, r=b)
         result_r = machine.simulate_iteration(reference, p=b, r=b)
@@ -115,36 +93,83 @@ class TestBitParity:
         verify_iteration(result_v, matrix, lower, b)
 
 
+#: The retired environment switch that used to select the golden loop.
+RETIRED_ENV = "AZUL_DATAFLOW_REFERENCE"
+
+
+def _count_lowerings(monkeypatch, lower):
+    """Wrap ``kernel_program.lower_kernel`` to count its calls."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return lower(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_program, "lower_kernel", spy)
+    return calls
+
+
 class TestLoweringRegistry:
+    """One lowering ships in ``src``; nothing at runtime selects another."""
+
     def test_registry_names(self):
-        assert LOWERINGS == {
-            "reference": ReferenceLowering,
-            "vectorized": VectorizedLowering,
-        }
+        for name in ("LOWERINGS", "LoweringStrategy", "ReferenceLowering",
+                     "VectorizedLowering", "resolve_lowering"):
+            assert not hasattr(dataflow, name), name
+            assert not hasattr(dataflow.lower, name), name
+        assert not hasattr(dataflow.lower, "default_lowering_name")
+        assert ReferenceLowering.__module__ == "tests.oracles.lowering"
 
-    def test_default_is_vectorized(self):
-        with _lowering_env(reference=False):
-            assert default_lowering_name() == "vectorized"
-            assert resolve_lowering() is VectorizedLowering
+    def test_default_is_vectorized(self, mapped, monkeypatch):
+        matrix, lower, placement, _ = mapped("tmt_sym")
+        assert kernel_program.lower_kernel is dataflow.lower.lower_kernel
+        calls = _count_lowerings(monkeypatch, dataflow.lower.lower_kernel)
+        build_pcg_program(matrix, lower, placement, TorusGeometry(4, 4),
+                          CONFIG)
+        assert len(calls) == 3
 
-    def test_env_escape_hatch_selects_reference(self):
-        with _lowering_env(reference=True):
-            assert default_lowering_name() == "reference"
-            assert resolve_lowering() is ReferenceLowering
-            # An explicit name always beats the environment.
-            assert resolve_lowering("vectorized") is VectorizedLowering
+    def test_env_escape_hatch_selects_reference(self, mapped, monkeypatch):
+        """The retired switch is inert: the array-backed lowering runs
+        and the program is the one built without it."""
+        matrix, lower, placement, _ = mapped("tmt_sym")
+        geometry = TorusGeometry(4, 4)
+        monkeypatch.delenv(RETIRED_ENV, raising=False)
+        unset = build_pcg_program(matrix, lower, placement, geometry, CONFIG)
+        monkeypatch.setenv(RETIRED_ENV, "1")
+        calls = _count_lowerings(monkeypatch, dataflow.lower.lower_kernel)
+        monkeypatch.setattr(ReferenceLowering, "lower", _never_called)
+        with_env = build_pcg_program(matrix, lower, placement, geometry,
+                                     CONFIG)
+        assert len(calls) == 3
+        for kernel in ("spmv", "sptrsv_lower", "sptrsv_upper"):
+            assert getattr(with_env, kernel).same_program(
+                getattr(unset, kernel)
+            )
 
-    def test_unknown_lowering_rejected(self):
-        with pytest.raises(ValueError, match="unknown lowering strategy"):
-            resolve_lowering("nope")
+    def test_unknown_lowering_rejected(self, mapped):
+        """No builder takes a lowering-selecting argument."""
+        matrix, lower, placement, _ = mapped("tmt_sym")
+        with pytest.raises(TypeError, match="lowering"):
+            build_pcg_program(matrix, lower, placement, TorusGeometry(4, 4),
+                              CONFIG, lowering="reference")
+        with pytest.raises(TypeError, match="lowering"):
+            kernel_program.build_kernel_program(
+                "spmv", 0, [], [], [], [], [], TorusGeometry(4, 4),
+                lowering="nope",
+            )
 
-    def test_overrides_report_effective_lowering(self):
-        with _lowering_env(reference=False):
-            entry = overrides()[ENV_DATAFLOW_REFERENCE]
-            assert entry == {"raw": None, "effective": "vectorized"}
-        with _lowering_env(reference=True):
-            entry = overrides()[ENV_DATAFLOW_REFERENCE]
-            assert entry == {"raw": "1", "effective": "reference"}
+    def test_overrides_report_effective_lowering(self, monkeypatch):
+        """``overrides()`` reports no lowering, even with the retired
+        switch set."""
+        monkeypatch.setenv(RETIRED_ENV, "1")
+        report = overrides()
+        assert RETIRED_ENV not in report
+        assert all("reference" not in str(entry["effective"])
+                   for entry in report.values())
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the golden lowering ran in production")
 
 
 class TestProgramCache:
@@ -198,24 +223,26 @@ class TestProgramCache:
         requests, builds, hits = self._compile_counters()
         assert (requests, builds, hits) == (2.0, 2.0, 0.0)
 
-    def test_lowering_name_partitions_cache(self, session):
+    def test_lowering_name_partitions_cache(self, session, monkeypatch):
+        """With one lowering the key has no lowering term: the retired
+        switch no longer splits the cache, so the second compile hits."""
         from repro.experiments.common import program_cache_key
 
-        matrix, lower, placement, _ = (
-            session.prepare("tmt_sym").matrix,
-            session.prepare("tmt_sym").lower,
-            session.placement("tmt_sym", "block", N_TILES),
-            None,
+        prepared = session.prepare("tmt_sym")
+        placement = session.placement("tmt_sym", "block", N_TILES)
+        monkeypatch.delenv(RETIRED_ENV, raising=False)
+        unset_key = program_cache_key(
+            session.cache, CONFIG, prepared.matrix, prepared.lower, placement,
         )
-        with _lowering_env(reference=False):
-            vec_key = program_cache_key(
-                session.cache, CONFIG, matrix, lower, placement,
-            )
-        with _lowering_env(reference=True):
-            ref_key = program_cache_key(
-                session.cache, CONFIG, matrix, lower, placement,
-            )
-        assert vec_key != ref_key
+        session.compiled_program("tmt_sym", mapper="block")
+        monkeypatch.setenv(RETIRED_ENV, "1")
+        env_key = program_cache_key(
+            session.cache, CONFIG, prepared.matrix, prepared.lower, placement,
+        )
+        session.compiled_program("tmt_sym", mapper="block")
+        assert env_key == unset_key
+        requests, builds, hits = self._compile_counters()
+        assert (requests, builds, hits) == (2.0, 1.0, 1.0)
 
     def test_use_cache_false_always_builds(self, session):
         session.compiled_program("tmt_sym", mapper="block", use_cache=False)

@@ -1,17 +1,18 @@
-"""Level-scheduled kernel-engine equivalence suite.
+"""Level-scheduled kernel equivalence suite.
 
-The level-scheduled engine (:class:`LevelScheduledKernels`) must be a
-drop-in replacement for the per-row reference loops: same results to
+The level-scheduled kernels (``repro.sparse.ops.level_*``) must be a
+drop-in replacement for the per-row golden loops: same results to
 rounding (bit-identical where the summation order is preserved), same
 exception classes/messages on malformed factors, schedules that track
 in-place value mutation yet never leak across structural replacement,
-and PCG runs whose residual histories match the reference engine.
+and PCG runs whose residual histories match the golden loops.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.config import ENV_SOLVER_REFERENCE
 from repro.errors import (
     NotTriangularError,
     PreconditionerError,
@@ -26,18 +27,27 @@ from repro.sparse.convert import coo_to_csr
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import (
-    KERNELS,
-    LevelScheduledKernels,
-    ReferenceKernels,
-    default_kernels_name,
-    resolve_kernels,
+    level_ic0_attempt,
+    level_sptrsv_lower,
+    level_sptrsv_upper,
     sptrsv_flops,
+    sptrsv_lower,
+    sptrsv_upper,
 )
 from repro.sparse.schedule import triangular_schedule
 from repro.sparse.suite import get_suite_matrix
+from tests.oracles.kernels import (
+    ic0_attempt_reference,
+    ic0_module,
+    kernels_module,
+    use_reference_kernels,
+)
 
-REF = KERNELS["reference"]
-LVL = KERNELS["level"]
+REF = SimpleNamespace(sptrsv_lower=sptrsv_lower, sptrsv_upper=sptrsv_upper,
+                      ic0_attempt=ic0_attempt_reference)
+LVL = SimpleNamespace(sptrsv_lower=level_sptrsv_lower,
+                      sptrsv_upper=level_sptrsv_upper,
+                      ic0_attempt=level_ic0_attempt)
 
 MATRIX_KINDS = ["fem", "spd", "grid"]
 
@@ -119,18 +129,19 @@ def test_ic0_parity(kind):
     )
 
 
-def test_ic0_shift_retry_equivalence():
-    """An indefinite 2x2 breaks down identically in both engines and
+def test_ic0_shift_retry_equivalence(monkeypatch):
+    """An indefinite 2x2 breaks down identically in both kernels and
     factors identically once the shift is large enough."""
     matrix = coo_to_csr(COOMatrix(
         [0, 1, 1], [0, 0, 1], [1.0, 2.0, 1.0], (2, 2)
     ))
     with pytest.raises(PreconditionerError):
-        ic0(matrix, kernels="reference")
+        ic0(matrix)
+    f_lvl = ic0(matrix, max_shift_attempts=12)
+    use_reference_kernels(monkeypatch)
     with pytest.raises(PreconditionerError):
-        ic0(matrix, kernels="level")
-    f_ref = ic0(matrix, max_shift_attempts=12, kernels="reference")
-    f_lvl = ic0(matrix, max_shift_attempts=12, kernels="level")
+        ic0(matrix)
+    f_ref = ic0(matrix, max_shift_attempts=12)
     np.testing.assert_array_equal(f_lvl.data, f_ref.data)
 
 
@@ -228,33 +239,60 @@ def test_schedule_tracks_in_place_values():
 
 
 # ----------------------------------------------------------------------
-# Registry / environment resolution
+# One kernel engine: no registry, argument or environment switch
 # ----------------------------------------------------------------------
 def test_registry_resolution(monkeypatch):
-    assert isinstance(resolve_kernels("reference"), ReferenceKernels)
-    assert isinstance(resolve_kernels("level"), LevelScheduledKernels)
-    with pytest.raises(ValueError, match="unknown kernel engine"):
-        resolve_kernels("nope")
-    monkeypatch.delenv(ENV_SOLVER_REFERENCE, raising=False)
-    assert default_kernels_name() == "level"
-    assert KernelCounter().engine.name == "level"
-    monkeypatch.setenv(ENV_SOLVER_REFERENCE, "1")
-    assert default_kernels_name() == "reference"
-    assert KernelCounter().engine.name == "reference"
-    monkeypatch.setenv(ENV_SOLVER_REFERENCE, "0")
-    assert default_kernels_name() == "level"
-    # An explicit name always wins over the environment.
-    monkeypatch.setenv(ENV_SOLVER_REFERENCE, "1")
-    assert KernelCounter(kernels="level").engine.name == "level"
+    from repro import sparse
+    from repro.sparse import ops
+
+    for name in ("KERNELS", "KernelEngine", "LevelScheduledKernels",
+                 "ReferenceKernels", "default_kernels_name",
+                 "register_kernels", "resolve_kernels"):
+        assert not hasattr(ops, name), name
+        assert not hasattr(sparse, name), name
+    matrix = _matrix("grid")
+    with pytest.raises(TypeError, match="kernels"):
+        KernelCounter(kernels="reference")
+    with pytest.raises(TypeError, match="kernels"):
+        ic0(matrix, kernels="reference")
+    with pytest.raises(TypeError, match="kernels"):
+        IncompleteCholesky(matrix, kernels="reference")
+
+    # The retired ``AZUL_SOLVER_REFERENCE`` switch is inert: the
+    # wrappers still call the level-scheduled kernels.
+    calls = []
+
+    def spy(module, name):
+        kernel = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(kernels_module, "level_sptrsv_lower")
+    spy(kernels_module, "level_sptrsv_upper")
+    spy(ic0_module, "level_ic0_attempt")
+    monkeypatch.setenv("AZUL_SOLVER_REFERENCE", "1")
+    lower = ic0(matrix)
+    counter = KernelCounter()
+    b = np.ones(matrix.n_rows)
+    counter.sptrsv_upper(lower.transpose(), counter.sptrsv_lower(lower, b))
+    assert calls == ["level_ic0_attempt", "level_sptrsv_lower",
+                     "level_sptrsv_upper"]
 
 
+# ----------------------------------------------------------------------
+# Solver wrappers
+# ----------------------------------------------------------------------
 def test_counter_forwards_unit_diagonal():
-    """`KernelCounter` must forward ``unit_diagonal`` to the engine and
-    to the FLOP model (satellites: the flag used to be dropped)."""
+    """`KernelCounter` must forward ``unit_diagonal`` to the kernel and
+    to the FLOP model (the flag used to be dropped)."""
     strict = coo_to_csr(COOMatrix(
         [1, 2, 3], [0, 1, 2], [0.5, -1.0, 2.0], (4, 4)
     ))
-    counter = KernelCounter(kernels="level")
+    counter = KernelCounter()
     b = np.ones(4)
     x = counter.sptrsv_lower(strict, b, unit_diagonal=True)
     np.testing.assert_array_equal(
@@ -290,12 +328,9 @@ def test_pcg_history_matches_reference(name, monkeypatch):
     options = SolveOptions(max_iterations=40, tol=1e-9,
                            record_history=True)
 
-    monkeypatch.setenv(ENV_SOLVER_REFERENCE, "1")
-    ref = pcg(matrix, b, IncompleteCholesky(matrix, kernels="reference"),
-              options)
-    monkeypatch.delenv(ENV_SOLVER_REFERENCE)
-    lvl = pcg(matrix, b, IncompleteCholesky(matrix, kernels="level"),
-              options)
+    lvl = pcg(matrix, b, IncompleteCholesky(matrix), options)
+    use_reference_kernels(monkeypatch)
+    ref = pcg(matrix, b, IncompleteCholesky(matrix), options)
 
     assert lvl.iterations == ref.iterations
     assert lvl.converged == ref.converged

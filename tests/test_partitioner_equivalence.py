@@ -1,7 +1,8 @@
-"""Partitioner invariants and refine-strategy equivalence.
+"""Partitioner invariants and FM-bookkeeping equivalence.
 
-The vectorized CSR strategy (``refine_vec``) must be *bit-identical* to
-the reference heap FM on dyadic-weight hypergraphs — both share the
+The maintained-gain FM bookkeeping (``refine._BisectionState``) must be
+*bit-identical* to the recompute-from-scratch golden model in
+``tests/oracles`` on dyadic-weight hypergraphs — both run the
 :func:`repro.hypergraph.refine._fm_pass` selection loop and differ only
 in bookkeeping (see ``refine.py``'s module docstring for the exactness
 argument).  On arbitrary float weights gain sums may round differently,
@@ -11,13 +12,15 @@ Azul placements of suite matrices are pinned by content digest, so any
 change to the partitioner's bookkeeping that alters one placement bit
 fails here.  Also covered: FM never increases the connectivity cut, per-constraint
 caps hold after every refine when the input satisfies them, same-seed
-determinism across presets, the strategy registry / env escape hatch,
-and ``jobs=N`` bit-identity with the serial path.
+determinism across presets, ``jobs=N`` bit-identity with the
+serial path, and the one-bookkeeping contract: no option, argument or
+environment switch selects the golden model.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 
 import numpy as np
 import pytest
@@ -27,14 +30,9 @@ from repro.core.azul_mapping import map_azul
 from repro.experiments.common import ExperimentSession
 from repro.hypergraph import Hypergraph, PartitionerOptions, partition
 from repro.hypergraph.metrics import connectivity_cut, cut_weight
-from repro.hypergraph.refine import (
-    REFERENCE_ENV,
-    STRATEGIES,
-    default_refine_name,
-    fm_refine,
-    resolve_refine,
-)
-from repro.hypergraph.refine_vec import VectorizedRefine
+from repro.hypergraph import refine as refine_module
+from repro.hypergraph.refine import fm_refine
+from tests.oracles.refine import ReferenceBisectionState, use_reference_refine
 
 
 def random_hypergraph(rng, n=None, n_edges=None, weight_pool=(1.0, 2.0),
@@ -64,48 +62,107 @@ def random_side(hgraph, rng):
     return (rng.random(hgraph.n_vertices) < 0.5).astype(np.int8)
 
 
+@pytest.fixture(params=["reference", "vectorized"])
+def refine(request, monkeypatch):
+    """Run the test on the golden or the production FM bookkeeping."""
+    if request.param == "reference":
+        use_reference_refine(monkeypatch)
+    return request.param
+
+
+def reference_and_production(monkeypatch, run):
+    """``run()`` on the golden FM bookkeeping, then on production."""
+    with monkeypatch.context() as patch:
+        use_reference_refine(patch)
+        reference = run()
+    return reference, run()
+
+
+def count_states(monkeypatch, state_class):
+    """Record every FM bookkeeping object ``fm_refine`` builds."""
+    built = []
+
+    def make(hgraph, side):
+        state = state_class(hgraph, side)
+        built.append(type(state))
+        return state
+
+    monkeypatch.setattr(refine_module, "_BisectionState", make)
+    return built
+
+
 class TestRegistry:
+    """One FM bookkeeping in ``src``; only the oracle swap selects the
+    golden one, and no option, argument or environment switch does."""
+
     def test_both_strategies_registered(self):
-        assert {"reference", "vectorized"} <= set(STRATEGIES)
+        production = refine_module._BisectionState
+        assert ReferenceBisectionState.__module__ == "tests.oracles.refine"
+        for method in ("gain", "move", "fits_after_move", "affected",
+                       "boundary_vertices"):
+            assert callable(getattr(production, method)), method
+            assert callable(getattr(ReferenceBisectionState, method)), method
 
     def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(REFERENCE_ENV, raising=False)
-        assert default_refine_name() == "vectorized"
-        assert resolve_refine(None) is VectorizedRefine
-
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(REFERENCE_ENV, "1")
-        assert default_refine_name() == "reference"
-        monkeypatch.setenv(REFERENCE_ENV, "0")
-        assert default_refine_name() == "vectorized"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown refine strategy"):
-            resolve_refine("does-not-exist")
-
-    def test_options_select_strategy_end_to_end(self):
+        assert importlib.util.find_spec("repro.hypergraph.refine_vec") is None
+        for name in ("STRATEGIES", "RefineStrategy", "register_strategy",
+                     "resolve_refine", "default_refine_name"):
+            assert not hasattr(refine_module, name), name
+        production = refine_module._BisectionState
+        built = count_states(monkeypatch, production)
         rng = np.random.default_rng(5)
         hg = random_hypergraph(rng, n=80, n_edges=160)
-        ref = partition(hg, 8, PartitionerOptions(seed=3, refine="reference"))
-        vec = partition(hg, 8, PartitionerOptions(seed=3, refine="vectorized"))
-        assert np.array_equal(ref, vec)
+        partition(hg, 8, PartitionerOptions(seed=3))
+        assert built
+        assert set(built) == {production}
+
+    def test_env_selects_reference(self, monkeypatch):
+        """The retired ``AZUL_PART_REFERENCE`` switch is inert."""
+        rng = np.random.default_rng(5)
+        hg = random_hypergraph(rng, n=80, n_edges=160)
+        monkeypatch.delenv("AZUL_PART_REFERENCE", raising=False)
+        unset = partition(hg, 8, PartitionerOptions(seed=3))
+        monkeypatch.setenv("AZUL_PART_REFERENCE", "1")
+        production = refine_module._BisectionState
+        built = count_states(monkeypatch, production)
+        with_env = partition(hg, 8, PartitionerOptions(seed=3))
+        assert set(built) == {production}
+        assert np.array_equal(with_env, unset)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(TypeError, match="refine"):
+            PartitionerOptions(refine="does-not-exist")
+        rng = np.random.default_rng(3)
+        hg = random_hypergraph(rng, n=20, n_edges=30)
+        with pytest.raises(TypeError, match="refine"):
+            fm_refine(hg, random_side(hg, rng), loose_caps(hg),
+                      refine="reference")
+
+    def test_options_select_strategy_end_to_end(self, monkeypatch):
+        """The oracle swap reaches every bisection of a k-way partition
+        and leaves the assignment bit-identical."""
+        rng = np.random.default_rng(5)
+        hg = random_hypergraph(rng, n=80, n_edges=160)
+        production = partition(hg, 8, PartitionerOptions(seed=3))
+        use_reference_refine(monkeypatch)
+        built = count_states(monkeypatch, refine_module._BisectionState)
+        reference = partition(hg, 8, PartitionerOptions(seed=3))
+        assert built
+        assert set(built) == {ReferenceBisectionState}
+        assert np.array_equal(reference, production)
 
 
 class TestFMInvariants:
-    @pytest.mark.parametrize("refine", ["reference", "vectorized"])
     def test_fm_never_increases_cut(self, refine):
         rng = np.random.default_rng(11)
         for _ in range(12):
             hg = random_hypergraph(rng)
             side = random_side(hg, rng)
             before = connectivity_cut(hg, side.astype(np.int64))
-            refined = fm_refine(
-                hg, side.copy(), loose_caps(hg), passes=3, refine=refine
-            )
+            refined = fm_refine(hg, side.copy(), loose_caps(hg), passes=3)
             after = connectivity_cut(hg, refined.astype(np.int64))
             assert after <= before + 1e-9
 
-    @pytest.mark.parametrize("refine", ["reference", "vectorized"])
     def test_caps_respected_after_every_refine(self, refine):
         rng = np.random.default_rng(23)
         for _ in range(12):
@@ -117,7 +174,7 @@ class TestFMInvariants:
             ])
             caps = np.maximum(loose_caps(hg), weights)
             for _ in range(3):  # every refine call, not just the first
-                side = fm_refine(hg, side, caps, passes=1, refine=refine)
+                side = fm_refine(hg, side, caps, passes=1)
                 held = np.stack([
                     hg.vertex_weights[side == s].sum(axis=0) for s in (0, 1)
                 ])
@@ -125,30 +182,36 @@ class TestFMInvariants:
 
 
 class TestStrategyParity:
-    def test_refine_bit_identical_on_dyadic_weights(self):
+    def test_refine_bit_identical_on_dyadic_weights(self, monkeypatch):
         rng = np.random.default_rng(7)
         for _ in range(25):
             hg = random_hypergraph(rng, weight_pool=(1.0, 2.0, 4.0))
             side = random_side(hg, rng)
-            ref = fm_refine(hg, side.copy(), loose_caps(hg), passes=3,
-                            refine="reference")
-            vec = fm_refine(hg, side.copy(), loose_caps(hg), passes=3,
-                            refine="vectorized")
+            ref, vec = reference_and_production(
+                monkeypatch,
+                lambda: fm_refine(hg, side.copy(), loose_caps(hg), passes=3),
+            )
             assert np.array_equal(ref, vec)
 
-    def test_partition_bit_identical_on_dyadic_weights(self):
+    def test_partition_bit_identical_on_dyadic_weights(self, monkeypatch):
         rng = np.random.default_rng(17)
         for n_parts in (2, 5, 16):
             hg = random_hypergraph(rng, n=150, n_edges=400)
-            ref = partition(
-                hg, n_parts, PartitionerOptions(seed=1, refine="reference")
-            )
-            vec = partition(
-                hg, n_parts, PartitionerOptions(seed=1, refine="vectorized")
+            ref, vec = reference_and_production(
+                monkeypatch,
+                lambda: partition(hg, n_parts, PartitionerOptions(seed=1)),
             )
             assert np.array_equal(ref, vec)
 
-    def test_cut_quality_parity_on_float_weights(self):
+    def test_partition_bit_identical_end_to_end(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        hg = random_hypergraph(rng, n=80, n_edges=160)
+        ref, vec = reference_and_production(
+            monkeypatch, lambda: partition(hg, 8, PartitionerOptions(seed=3)),
+        )
+        assert np.array_equal(ref, vec)
+
+    def test_cut_quality_parity_on_float_weights(self, monkeypatch):
         # Non-dyadic weights: gain sums may round differently between
         # bookkeeping schemes, so exact equality is not guaranteed —
         # but cut quality must agree (gmean within 2%).
@@ -158,11 +221,9 @@ class TestStrategyParity:
             n_edges = int(rng.integers(40, 200))
             hg = random_hypergraph(rng, n_edges=n_edges)
             hg.edge_weights = rng.random(hg.n_edges) + 0.25
-            ref = partition(
-                hg, 4, PartitionerOptions(seed=2, refine="reference")
-            )
-            vec = partition(
-                hg, 4, PartitionerOptions(seed=2, refine="vectorized")
+            ref, vec = reference_and_production(
+                monkeypatch,
+                lambda: partition(hg, 4, PartitionerOptions(seed=2)),
             )
             cut_ref = connectivity_cut(hg, ref) + 1.0
             cut_vec = connectivity_cut(hg, vec) + 1.0

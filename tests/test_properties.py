@@ -10,11 +10,11 @@ from repro.graph import greedy_coloring, inverse_permutation, symmetric_permute
 from repro.graph.coloring import validate_coloring
 from repro.hypergraph import Hypergraph, connectivity_cut, partition
 from repro.hypergraph import PartitionerOptions, cut_weight
-from repro.hypergraph.refine import ReferenceRefine
-from repro.hypergraph.refine_vec import VectorizedRefine
+from repro.hypergraph.refine import _BisectionState
 from repro.perf import gmean
 from repro.sparse import COOMatrix, coo_to_csc, coo_to_csr, csr_to_csc
 from repro.sparse.ops import sptrsv_lower
+from tests.oracles.refine import ReferenceBisectionState
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +243,7 @@ class TestPartitionProperties:
     @given(hypergraphs(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_maintained_fm_state_matches_reference(self, drawn, data):
-        """After random moves, the default strategy's maintained gains,
+        """After random moves, the production FM state's maintained gains,
         cut counts and part weights equal a from-scratch reference
         state on the same sides (exactly, on dyadic weights)."""
         hg, dyadic = drawn
@@ -251,12 +251,12 @@ class TestPartitionProperties:
         side = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
                                            max_size=n)), dtype=np.int8)
         moves = data.draw(st.lists(st.integers(0, n - 1), max_size=40))
-        state = VectorizedRefine().make_state(hg, side)
+        state = _BisectionState(hg, side)
         for v in moves:
             state.move(v)
-            fresh = ReferenceRefine().make_state(hg, state.side.copy())
+            fresh = ReferenceBisectionState(hg, state.side.copy())
             assert state.affected(v) == fresh.affected(v)
-        reference = ReferenceRefine().make_state(hg, state.side.copy())
+        reference = ReferenceBisectionState(hg, state.side.copy())
         assert np.array_equal(state._count0, reference.count0)
         assert np.array_equal(state.boundary_vertices(),
                               reference.boundary_vertices())

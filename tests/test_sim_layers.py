@@ -1,11 +1,12 @@
 """Unit tests for the layered simulator core and its contracts.
 
 Covers each layer in isolation — event queue determinism, link
-serialization, multicast-plan flattening, numeric state bookkeeping,
-issue-strategy resolution — plus the two cross-cutting guarantees:
+serialization, multicast-plan flattening, numeric state bookkeeping —
+plus the one-issue-model contract and two cross-cutting guarantees:
 
 * the import-layer contract (``tools/check_layers.py``, the offline
-  twin of the ``.importlinter`` CI job) holds over the whole tree;
+  twin of the ``.importlinter`` CI job) holds over the whole tree,
+  including the rule that production never imports ``tests``;
 * geometry construction is routed through
   :func:`repro.comm.make_geometry` everywhere, so
   ``AzulConfig(topology="mesh")`` is honored by the CLI, the
@@ -20,10 +21,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import sim
 from repro.comm import MeshGeometry, TorusGeometry, make_geometry
 from repro.comm.multicast import build_multicast_tree
 from repro.comm.reduction import build_reduction_tree
 from repro.config import AzulConfig
+from repro.sim import engine, issue
 from repro.sim.events import (
     EV_MCAST,
     EV_PARTIAL,
@@ -33,13 +36,9 @@ from repro.sim.events import (
     drain,
 )
 from repro.sim.fabric import FabricModel, LinkFabric, flatten_multicast_plan
-from repro.sim.issue import (
-    STRATEGIES,
-    BatchedIssue,
-    PerOpIssue,
-    resolve_strategy,
-)
+from repro.sim.issue import BatchedIssue
 from repro.sim.state import KernelState, TileState
+from tests.oracles.issue import PerOpIssue
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -228,27 +227,57 @@ class TestKernelState:
 # issue
 # ---------------------------------------------------------------------------
 class TestIssueRegistry:
+    """One issue model ships in ``src``; the per-op golden model lives
+    in ``tests/oracles`` and no name lookup selects either."""
+
     def test_known_strategies(self):
-        assert resolve_strategy("reference") is PerOpIssue
-        assert resolve_strategy("batched") is BatchedIssue
-        assert set(STRATEGIES) == {"reference", "batched"}
+        defined = {
+            obj for obj in vars(issue).values()
+            if isinstance(obj, type) and obj.__module__ == issue.__name__
+            and hasattr(obj, "pump")
+        }
+        assert defined == {BatchedIssue}
+        assert PerOpIssue.__module__ == "tests.oracles.issue"
+        assert issubclass(PerOpIssue, BatchedIssue)
 
     def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError, match="warp"):
-            resolve_strategy("warp")
+        for module, name in (
+            (issue, "STRATEGIES"), (issue, "resolve_strategy"),
+            (issue, "PerOpIssue"), (sim, "resolve_strategy"),
+            (engine, "ReferenceKernelSimulator"),
+            (engine, "BatchedKernelSimulator"), (engine, "REFERENCE_ENV"),
+        ):
+            with pytest.raises(ImportError):
+                exec(f"from {module.__name__} import {name}", {})
 
 
 # ---------------------------------------------------------------------------
 # cross-cutting contracts
 # ---------------------------------------------------------------------------
-def test_layer_contract_holds():
-    """The AST layer checker (CI twin of import-linter) reports clean."""
+def _check_layers():
     sys.path.insert(0, str(REPO / "tools"))
     try:
         import check_layers
     finally:
         sys.path.pop(0)
-    assert check_layers.check() == []
+    return check_layers
+
+
+def test_layer_contract_holds():
+    """The AST layer checker (CI twin of import-linter) reports clean."""
+    assert _check_layers().check() == []
+
+
+def test_layer_checker_rejects_production_imports_of_tests(tmp_path):
+    """A ``src/`` module importing the golden models is a violation."""
+    package = tmp_path / "repro" / "sim"
+    package.mkdir(parents=True)
+    (package / "engine.py").write_text(
+        "from tests.oracles.issue import PerOpIssue\n", encoding="utf-8"
+    )
+    violations = _check_layers().check(tmp_path)
+    assert len(violations) == 1
+    assert "imports tests.oracles.issue" in violations[0]
 
 
 def test_no_direct_geometry_construction_outside_comm():
@@ -293,7 +322,6 @@ def test_machine_fabric_follows_config_topology():
     machine = AzulMachine(AzulConfig(topology="mesh", **base))
     assert isinstance(machine.fabric, FabricModel)
     assert isinstance(machine.fabric.geometry, MeshGeometry)
-    assert machine.torus is machine.fabric.geometry
     assert machine.fabric.hop_cycles == machine.config.hop_cycles
 
 

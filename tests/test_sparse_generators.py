@@ -1,7 +1,14 @@
 """Tests for the synthetic generators, suite, properties, and MM I/O."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.sparse import (
     bandwidth,
@@ -177,6 +184,30 @@ class TestSuite:
         small = get_suite_matrix("thermal2", scale=1, with_rhs=False)
         large = get_suite_matrix("thermal2", scale=2, with_rhs=False)
         assert large.n_rows > small.n_rows
+
+    def test_rhs_independent_of_hash_seed(self):
+        """``b`` must not depend on the per-process string-hash salt:
+        two interpreters with different ``PYTHONHASHSEED`` build the
+        same right-hand side."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        script = (
+            "import hashlib\n"
+            "from repro.sparse.suite import get_suite_matrix\n"
+            "_, b = get_suite_matrix('thermal2')\n"
+            "print(hashlib.sha256(b.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True, timeout=120,
+            )
+            digests.append(completed.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_sections(self):
         assert len(azul_suite("medium")) == 23

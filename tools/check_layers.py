@@ -11,9 +11,7 @@ library:
    downward (``engine`` sees everything, ``events`` sees nothing).
 2. **Hypergraph layering** — within ``repro.hypergraph`` the layers
    ``hgraph <- metrics <- rebalance <- coarsen <- initial <- refine
-   <- refine_vec <- partitioner`` may only depend downward; the
-   ``RefineStrategy`` registry (``refine``) sits below the vectorized
-   implementation (``refine_vec``), which sits below the driver.
+   <- partitioner`` may only depend downward.
 3. **comm independence** — ``repro.comm`` never imports ``repro.sim``
    or ``repro.dataflow`` (geometries, trees, and forests stay
    simulator- and program-agnostic).
@@ -44,6 +42,9 @@ library:
    group*: they share one layer and none may import another, so every
    experiment stays independently loadable and the executor can plan
    any subset.  The experiments package also never imports the CLI.
+10. **Production never imports the test suite** — nothing under
+    ``src/`` imports ``tests``, so no production path can depend on
+    the golden models kept in ``tests/oracles``.
 
 The scan is purely static (``ast`` over every ``repro`` module);
 ``from x import y`` and ``import x`` are both resolved, including
@@ -80,7 +81,7 @@ LAYERED_PACKAGES: Dict[str, List[Layer]] = {
     ],
     "repro.hypergraph": [
         "hgraph", "metrics", "rebalance", "coarsen", "initial",
-        "refine", "refine_vec", "partitioner",
+        "refine", "partitioner",
     ],
     "repro.sparse": ["csr", "schedule", "ops"],
     "repro.experiments": [
@@ -153,6 +154,9 @@ FORBIDDEN: List[Tuple[str, str, str]] = [
      "the solver stack never reaches into the experiment pipeline"),
     ("repro.experiments", "repro.cli",
      "experiments are a library the CLI drives, never the reverse"),
+    ("repro", "tests",
+     "production code never depends on the test suite or its golden "
+     "models (tests/oracles)"),
 ]
 
 
