@@ -205,32 +205,7 @@ def cmd_run(args):
     """``repro run [ids...] --jobs N``: the experiment runner."""
     from repro.experiments import runner
 
-    argv = list(args.ids)
-    if args.list:
-        argv.append("--list")
-    if args.plan:
-        argv.append("--plan")
-    if args.resume:
-        argv.append("--resume")
-    if args.keep_going:
-        argv.append("--keep-going")
-    for tag in args.filter or ():
-        argv += ["--filter", tag]
-    if args.matrices:
-        argv += ["--matrices"] + list(args.matrices)
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.csv_dir:
-        argv += ["--csv-dir", args.csv_dir]
-    if args.cache_stats:
-        argv.append("--cache-stats")
-    if args.trace is not None:
-        argv += ["--trace", args.trace]
-    if args.metrics is not None:
-        argv.append("--metrics")
-        if args.metrics:
-            argv.append(args.metrics)
-    return runner.main(argv)
+    return runner.run_from_args(args)
 
 
 def cmd_cache(args):
@@ -332,42 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser(
         "run", help="run experiments via the runner (sweeps honor --jobs)",
     )
-    p_run.add_argument("ids", nargs="*",
-                       help="experiment ids (default: all)")
-    p_run.add_argument("--list", action="store_true",
-                       help="list experiments (id, title, tags) and exit")
-    p_run.add_argument("--filter", action="append", default=None,
-                       metavar="TAG",
-                       help="only run experiments carrying TAG "
-                            "(repeatable)")
-    p_run.add_argument("--plan", action="store_true",
-                       help="dry-run: print the deduplicated sweep plan "
-                            "and predicted cache hits, simulate nothing")
-    p_run.add_argument("--resume", action="store_true",
-                       help="skip experiments already checkpointed in "
-                            "the artifact cache")
-    p_run.add_argument("--keep-going", action="store_true",
-                       help="continue past failing experiments; exit 1 "
-                            "at the end if any failed")
-    p_run.add_argument("--matrices", nargs="+", default=None,
-                       metavar="NAME",
-                       help="override the matrix set of experiments "
-                            "that take one")
-    p_run.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes for the merged simulation "
-                            "sweep (REPRO_JOBS also honored)")
-    p_run.add_argument("--csv-dir", default=None, metavar="DIR",
-                       help="also write each result as DIR/<id>.csv")
-    p_run.add_argument("--cache-stats", action="store_true",
-                       help="print artifact-cache statistics after the "
-                            "runs")
-    p_run.add_argument("--trace", default=None, metavar="PATH",
-                       help="write a Chrome trace of the runs to PATH "
-                            "(load at ui.perfetto.dev)")
-    p_run.add_argument("--metrics", nargs="?", const="", default=None,
-                       metavar="PATH",
-                       help="write a JSON metrics artifact (default "
-                            "PATH: <csv-dir>/metrics.json)")
+    # The runner owns its option declarations, so ``run`` and
+    # ``python -m repro.experiments.runner`` cannot drift apart.
+    from repro.experiments.runner import add_arguments
+
+    add_arguments(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_cache = sub.add_parser("cache", help="inspect/maintain the "

@@ -75,7 +75,7 @@ PROGRAM_NAMESPACE = "programs"
 #: Simulation ``v3`` admits parametric :class:`~repro.sim.PEModel`
 #: instances (keyed on their full parameter tuple, so a custom model
 #: can never alias a registered name) for the ablation sweeps served
-#: by :meth:`ExperimentSession.simulate_many`.  Placement ``v3``: the
+#: by :func:`repro.parallel.simulate_many`.  Placement ``v3``: the
 #: vectorized multilevel partitioner (per-branch seeded recursion,
 #: sort-based matching, strategy-based FM) produces different —
 #: equal-quality — assignments than the ``v2`` per-vertex
@@ -441,10 +441,15 @@ class ExperimentSession:
         short-circuit cache hits and deduplicate in-flight points
         before spawning any worker.  ``trace`` is part of the key:
         traced results carry per-op issue logs and must never alias
-        untraced entries.
+        untraced entries.  Mapper / PE / preset names are validated
+        here, so a bad point fails before anything is computed.
         """
+        _validate_choice("mapper", mapper, MAPPERS)
+        if not isinstance(pe, PEModel):
+            _validate_choice("pe", pe, pe_model_names())
         scale = self.scale if scale is None else int(scale)
         preset = self.preset if preset is None else preset
+        _validate_choice("preset", preset, PRESETS)
         config = self.config if config is None else config
         return self.cache.key(
             "simulate", name, scale, mapper, _pe_key_part(pe), preset,
@@ -469,12 +474,8 @@ class ExperimentSession:
         :mod:`repro.obs`); it defaults to
         :func:`repro.obs.tracing_enabled`.
         """
-        _validate_choice("mapper", mapper, MAPPERS)
-        if not isinstance(pe, PEModel):
-            _validate_choice("pe", pe, pe_model_names())
         scale = self.scale if scale is None else int(scale)
         preset = self.preset if preset is None else preset
-        _validate_choice("preset", preset, PRESETS)
         use_cache = self.use_cache if use_cache is None else bool(use_cache)
         trace = obs.tracing_enabled() if trace is None else bool(trace)
 
@@ -482,25 +483,47 @@ class ExperimentSession:
             name, mapper, pe, scale=scale, preset=preset, check=check,
             trace=trace,
         )
-        if use_cache:
-            cached = self.cache.get(SIMULATION_NAMESPACE, key, PICKLE)
-            if cached is not MISS:
-                if trace:
-                    self._bridge_trace(key, f"{name}/{mapper}", cached)
-                return cached
+        result = (self.cache.get(SIMULATION_NAMESPACE, key, PICKLE)
+                  if use_cache else MISS)
+        if result is MISS:
+            placement = self.placement(
+                name, mapper, self.config.num_tiles,
+                scale=scale, preset=preset, use_cache=use_cache,
+            )
+            result = self.simulate_placed(
+                name, placement, pe, key=key, scale=scale, check=check,
+                trace=trace, use_cache=use_cache,
+            )
+        if trace:
+            self._bridge_trace(key, f"{name}/{mapper}", result)
+        return result
 
+    def simulate_placed(self, name: str, placement: Placement, pe="azul",
+                        *, key: str, scale: Optional[int] = None,
+                        multicast: str = "tree", check: bool = True,
+                        trace: bool = False,
+                        use_cache: Optional[bool] = None):
+        """Compile, simulate, verify and cache one placed point.
+
+        The one path from a placement to a simulation result, shared
+        by :meth:`simulate` and both sweep entry points of
+        :mod:`repro.parallel` (in the parent and in workers).  The
+        compiled program goes through the ``programs`` cache; the
+        result is stored under ``key`` (the caller's simulation cache
+        key) unless ``use_cache`` is off.  No lookup happens here:
+        callers short-circuit cache hits before placing anything.
+        """
+        use_cache = self.use_cache if use_cache is None else bool(use_cache)
         prepared = self.prepare(name, scale)
-        placement = self.placement(
-            name, mapper, self.config.num_tiles,
-            scale=scale, preset=preset, use_cache=use_cache,
-        )
         model = pe if isinstance(pe, PEModel) else pe_model_by_name(pe)
         machine = AzulMachine(self.config, model)
         program = compile_pcg_program(
             machine, prepared.matrix, prepared.lower, placement,
-            cache=self.cache, use_cache=use_cache, label=name,
+            multicast=multicast, cache=self.cache, use_cache=use_cache,
+            label=name,
         )
-        with obs.timer("pipeline.simulate", matrix=name, mapper=mapper,
+        with obs.timer("pipeline.simulate", matrix=name,
+                       mapper=placement.mapper,
                        pe=str(getattr(pe, "name", pe)), trace=trace):
             result = machine.simulate_iteration(
                 program, p=prepared.b, r=prepared.b,
@@ -511,27 +534,7 @@ class ExperimentSession:
                              prepared.b)
         if use_cache:
             self.cache.put(SIMULATION_NAMESPACE, key, result, PICKLE)
-        if trace:
-            self._bridge_trace(key, f"{name}/{mapper}", result)
         return result
-
-    def simulate_many(self, points, jobs: Optional[int] = None, *,
-                      use_cache: Optional[bool] = None,
-                      stats: Optional[dict] = None) -> list:
-        """Simulate many sweep points, fanned out across processes.
-
-        A drop-in replacement for a serial loop of :meth:`simulate`
-        calls: results come back in point order and are identical to a
-        ``jobs=1`` run.  Cache hits short-circuit before any worker is
-        spawned, duplicate points are computed once, and worker
-        failures degrade gracefully to in-process computation.  See
-        :func:`repro.parallel.simulate_many`.
-        """
-        from repro.parallel import simulate_many as _simulate_many
-
-        return _simulate_many(
-            self, points, jobs, use_cache=use_cache, stats=stats,
-        )
 
     def simulate_placements(self, name: Optional[str] = None,
                             placements=(), *,
@@ -543,7 +546,8 @@ class ExperimentSession:
                             stats: Optional[dict] = None) -> list:
         """Simulate explicit placements (usually one matrix).
 
-        Placement-content-keyed variant of :meth:`simulate_many` for
+        Placement-content-keyed variant of
+        :func:`repro.parallel.simulate_many` for
         the ablations that sweep the mapper itself (seeds, partitioner
         options, multicast modes).  Entries may be ``Placement``
         objects or per-point override dicts.  See

@@ -45,7 +45,7 @@ import repro.obs as obs
 from repro.cache import MISS, PICKLE, ArtifactCache
 from repro.cache.keys import canonical_encode
 from repro.experiments.spec import ExperimentPlan, ExperimentSpec
-from repro.parallel import SimPoint
+from repro.parallel import SimPoint, resolve_point, simulate_many
 from repro.perf import ExperimentResult
 
 __all__ = [
@@ -197,36 +197,6 @@ class ExecutionReport:
 # ----------------------------------------------------------------------
 # Key derivation
 # ----------------------------------------------------------------------
-def _resolve_point(session, point: SimPoint) -> SimPoint:
-    """Fill a point's ``None`` fields from its owning session.
-
-    A fully-resolved point is session-independent: any session may
-    fan it out and it still lands on the same cache key, which is
-    what lets the executor merge points across experiments.
-    """
-    return SimPoint(
-        name=point.name,
-        mapper=point.mapper,
-        pe=point.pe,
-        scale=session.scale if point.scale is None else int(point.scale),
-        preset=session.preset if point.preset is None else point.preset,
-        check=bool(point.check),
-        config=session.config if point.config is None else point.config,
-        trace=(obs.tracing_enabled() if point.trace is None
-               else bool(point.trace)),
-    )
-
-
-def _point_cache_key(session, resolved: SimPoint) -> str:
-    """The simulation cache key a resolved point will hit."""
-    return session.simulation_key(
-        resolved.name, resolved.mapper, resolved.pe,
-        scale=resolved.scale, preset=resolved.preset,
-        check=resolved.check, config=resolved.config,
-        trace=bool(resolved.trace),
-    )
-
-
 def _override_fingerprint(overrides: Dict[str, Any]) -> str:
     """Stable encoding of builder overrides for the checkpoint key.
 
@@ -297,11 +267,9 @@ def plan_experiments(
             try:
                 entry.plan = spec.plan(jobs=jobs, **accepted)
                 for point_key, point in entry.plan.points.items():
-                    resolved = _resolve_point(entry.plan.session, point)
+                    resolved, key = resolve_point(entry.plan.session, point)
                     entry.resolved[point_key] = resolved
-                    entry.point_keys[point_key] = _point_cache_key(
-                        entry.plan.session, resolved
-                    )
+                    entry.point_keys[point_key] = key
                 entry.checkpoint_key = _checkpoint_key(cache, entry)
                 if resume:
                     entry.checkpointed = cache.get(
@@ -428,8 +396,6 @@ def execute(
                 e.plan.session for e in pending if e.point_keys
             )
             with obs.span("exec.sweep", unique_points=len(unique)):
-                from repro.parallel import simulate_many
-
                 ordered = list(unique)
                 results = simulate_many(
                     sweep_session, [unique[k] for k in ordered], jobs,

@@ -103,10 +103,12 @@ def run_experiment(experiment_id: str, jobs: Optional[int] = None,
     return report.results()[experiment_id]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Run Azul-reproduction experiments.",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare the runner's options on ``parser`` and return it.
+
+    ``python -m repro.experiments.runner`` and ``repro-azul run`` both
+    build their parser here; :func:`run_from_args` runs what it parses.
+    """
     parser.add_argument(
         "ids", nargs="*",
         help="experiment ids (default: all); see DESIGN.md",
@@ -165,8 +167,18 @@ def main(argv=None):
              "JSON artifact (default PATH: <csv-dir>/metrics.json or "
              "./metrics.json)",
     )
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = add_arguments(argparse.ArgumentParser(
+        description="Run Azul-reproduction experiments.",
+    ))
+    return run_from_args(parser.parse_args(argv))
+
+
+def run_from_args(args: argparse.Namespace) -> int:
+    """Run the selection parsed by an :func:`add_arguments` parser."""
     specs = load_specs(args.ids or None)
     if args.filter:
         wanted = set(args.filter)

@@ -152,18 +152,21 @@ class KernelSimulator:
         )
         self.state.init_node_remaining(program)
         self.issue.bind(self)
-
-        if program.dependent:
-            if self._b is None:
-                raise SimulationError("SpTRSV simulation requires b")
-            self._init_sptrsv()
-        else:
-            if x is None:
-                raise SimulationError("SpMV simulation requires x")
-            self._init_spmv()
-
-        drain(self.events, self.issue.pump, self._handle_mcast,
-              self._handle_partial)
+        try:
+            if program.dependent:
+                if self._b is None:
+                    raise SimulationError("SpTRSV simulation requires b")
+                self._init_sptrsv()
+            else:
+                if x is None:
+                    raise SimulationError("SpMV simulation requires x")
+                self._init_spmv()
+            drain(self.events, self.issue.pump, self._handle_mcast,
+                  self._handle_partial)
+        finally:
+            # ``bind`` stored this simulator's bound methods on the
+            # issue model; unbinding breaks that reference cycle.
+            self.issue.unbind()
 
         state = self.state
         if state.rows_done != n:

@@ -108,6 +108,16 @@ class BatchedIssue:
         self.schedule_pump: Callable[[int, int], None] = \
             core._schedule_pump
 
+    def unbind(self) -> None:
+        """Drop what :meth:`bind` captured.
+
+        The captured hooks are the core's bound methods, so a bound
+        model and its core form a reference cycle that only the cyclic
+        garbage collector frees; unbinding after the run lets the
+        simulator and its per-run state go as soon as they are dropped.
+        """
+        self.__dict__.clear()
+
     # ------------------------------------------------------------------
     def _issue_other(self, tile_id: int, tile: TileState, task: List,
                      task_index: int, issue_time: int) -> None:

@@ -26,6 +26,27 @@ class TestParser:
         assert args.ids == ["fig27"]
         assert args.jobs == 4
 
+    def test_run_shares_runner_options(self):
+        """``repro run`` exposes exactly the runner's own options."""
+        import argparse
+
+        from repro.experiments import runner
+
+        def option_strings(parser):
+            return sorted(
+                option for action in parser._actions
+                for option in action.option_strings
+            )
+
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        standalone = runner.add_arguments(argparse.ArgumentParser())
+        assert option_strings(subcommands.choices["run"]) \
+            == option_strings(standalone)
+        assert "--jobs" in option_strings(standalone)
+
     def test_experiment_jobs_flag(self):
         args = build_parser().parse_args(
             ["experiment", "fig27", "--jobs", "2"]

@@ -9,6 +9,9 @@ models and kernels.  Any event-ordering or hazard-modelling drift in
 the fast path shows up here first.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,33 @@ def test_issue_model_is_fixed_per_class():
         is BatchedIssue
     assert type(ReferenceKernelSimulator(spmv, torus, config,
                                          AZUL_PE).issue) is PerOpIssue
+
+
+@pytest.mark.parametrize("simulator_cls", [KernelSimulator,
+                                           ReferenceKernelSimulator],
+                         ids=["batched", "per_op"])
+@pytest.mark.parametrize("kernel", ["spmv", "sptrsv"])
+def test_finished_simulator_is_freed_without_cyclic_gc(simulator_cls,
+                                                       kernel):
+    """A run leaves no reference cycle through its issue model, so the
+    simulator goes as soon as its last reference is dropped."""
+    matrix, torus, config, spmv, sptrsv = _programs("fem", 4, 4)
+    vector = np.ones(matrix.shape[0])
+    gc.collect()
+    gc.disable()
+    try:
+        if kernel == "spmv":
+            simulator = simulator_cls(spmv, torus, config, AZUL_PE)
+            result = simulator.run(x=vector)
+        else:
+            simulator = simulator_cls(sptrsv, torus, config, AZUL_PE)
+            result = simulator.run(b=vector)
+        alive = weakref.ref(simulator)
+        del simulator
+        assert alive() is None
+        assert result.cycles > 0
+    finally:
+        gc.enable()
 
 
 def test_reference_env_escape_hatch(monkeypatch):

@@ -322,7 +322,9 @@ class TestPipelineIntegration:
 
     def test_sweep_counters_emitted(self, session):
         obs.enable(metrics=True, tracing=False)
-        session.simulate_many(["tmt_sym", "tmt_sym"], jobs=1)
+        from repro.parallel import simulate_many
+
+        simulate_many(session, ["tmt_sym", "tmt_sym"], jobs=1)
         counters = obs.snapshot()["counters"]
         assert counters["sweep.points"] == 2.0
         assert counters["sweep.deduplicated"] == 1.0

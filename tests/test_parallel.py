@@ -1,18 +1,27 @@
 """Tests for :mod:`repro.parallel` (process-parallel sweep execution).
 
-The contract under test: ``simulate_many(points, jobs=N)`` returns, in
-point order, exactly what a serial loop of ``session.simulate`` calls
-returns — through cache hits, in-flight dedup, real worker processes,
-and the serial fallback after worker failures.
+The contract under test: ``simulate_many(session, points, jobs=N)``
+returns, in point order, exactly what a serial loop of
+``session.simulate`` calls returns, and ``simulate_placements`` with
+``jobs=N`` exactly what it returns with ``jobs=1`` — through cache
+hits, in-flight dedup, real worker processes, and the serial fallback
+after worker failures.
 """
 
 import numpy as np
 import pytest
 
 from repro import parallel
+from repro.cache import PICKLE
 from repro.config import AzulConfig
-from repro.experiments.common import ExperimentSession
-from repro.parallel import SimPoint, default_jobs, simulate_many
+from repro.core import Placement
+from repro.experiments.common import SIMULATION_NAMESPACE, ExperimentSession
+from repro.parallel import (
+    SimPoint,
+    default_jobs,
+    simulate_many,
+    simulate_placements,
+)
 
 TINY = AzulConfig(mesh_rows=4, mesh_cols=4)
 MATRIX = "tmt_sym"
@@ -64,7 +73,7 @@ class TestSimulateMany:
                      check=False),
         ]
         stats = {}
-        results = session.simulate_many(points, jobs=1, stats=stats)
+        results = simulate_many(session, points, jobs=1, stats=stats)
         assert stats["points"] == 3
         assert stats["unique"] == 2
         assert stats["deduplicated"] == 1
@@ -80,12 +89,12 @@ class TestSimulateMany:
                      check=False),
         ]
         serial_stats = {}
-        serial = ExperimentSession(TINY).simulate_many(
-            points, jobs=1, use_cache=False, stats=serial_stats,
+        serial = simulate_many(
+            ExperimentSession(TINY), points, jobs=1, use_cache=False, stats=serial_stats,
         )
         parallel_stats = {}
-        fanned = ExperimentSession(TINY).simulate_many(
-            points, jobs=2, stats=parallel_stats,
+        fanned = simulate_many(
+            ExperimentSession(TINY), points, jobs=2, stats=parallel_stats,
         )
         assert serial_stats["computed_serial"] == 2
         assert parallel_stats["computed_parallel"] == 2
@@ -96,10 +105,10 @@ class TestSimulateMany:
     def test_cache_hits_short_circuit(self, fresh_cache):
         points = [SimPoint(MATRIX, check=False)]
         first = ExperimentSession(TINY)
-        warm = first.simulate_many(points, jobs=1)
+        warm = simulate_many(first, points, jobs=1)
         stats = {}
         second = ExperimentSession(TINY)
-        cached = second.simulate_many(points, jobs=4, stats=stats)
+        cached = simulate_many(second, points, jobs=4, stats=stats)
         assert stats["cache_hits"] == 1
         assert stats["computed_parallel"] == 0
         assert stats["computed_serial"] == 0
@@ -112,9 +121,10 @@ class TestSimulateMany:
             SimPoint(MATRIX, mapper="round_robin", pe="dalorex",
                      check=False),
         ]
-        ExperimentSession(TINY).simulate_many(points, jobs=2)
+        simulate_many(ExperimentSession(TINY), points, jobs=2)
         stats = {}
-        ExperimentSession(TINY).simulate_many(points, jobs=2, stats=stats)
+        simulate_many(ExperimentSession(TINY), points, jobs=2,
+                      stats=stats)
         assert stats["cache_hits"] == 2
         assert stats["computed_parallel"] == 0
 
@@ -128,8 +138,8 @@ class TestSimulateMany:
         monkeypatch.setattr(parallel, "_run_pool", broken_pool)
         session = ExperimentSession(TINY)
         stats = {}
-        results = session.simulate_many(
-            [SimPoint(MATRIX, check=False),
+        results = simulate_many(
+            session, [SimPoint(MATRIX, check=False),
              SimPoint(MATRIX, pe="ideal", check=False)],
             jobs=2, stats=stats,
         )
@@ -153,10 +163,31 @@ class TestSimulateMany:
         assert info["computed_parallel"] == 1
         assert info["worker_failures"] == 1
 
+    def test_cache_override_reaches_workers(self, fresh_cache):
+        """``use_cache=False`` is honoured by the workers too: entries
+        already under the points' keys are neither read nor served."""
+        points = [
+            SimPoint(MATRIX, check=False),
+            SimPoint(MATRIX, mapper="round_robin", pe="dalorex",
+                     check=False),
+        ]
+        session = ExperimentSession(TINY)
+        for point in points:
+            key = session.simulation_key(point.name, point.mapper,
+                                         point.pe, check=False)
+            session.cache.put(SIMULATION_NAMESPACE, key, "POISON", PICKLE)
+        serial = simulate_many(session, points, jobs=1, use_cache=False)
+        fanned = simulate_many(ExperimentSession(TINY), points, jobs=2,
+                               use_cache=False)
+        assert "POISON" not in serial
+        assert "POISON" not in fanned
+        for a, b in zip(serial, fanned):
+            _timings_equal(a, b)
+
     def test_invalid_matrix_raises(self, fresh_cache):
         session = ExperimentSession(TINY)
         with pytest.raises(ValueError):
-            session.simulate_many([SimPoint("not_a_matrix")], jobs=1)
+            simulate_many(session, [SimPoint("not_a_matrix")], jobs=1)
 
 
 def _square_or_crash(spec):
@@ -205,6 +236,75 @@ class TestSimulatePlacements:
         )
         assert stats["cache_hits"] == 1
         assert again[0].total_cycles > 0
+
+    def test_parallel_identical_to_serial(self, fresh_cache, tmp_path,
+                                          monkeypatch):
+        """A mixed sweep (multicast modes, PEs, mappers, a duplicate)
+        fanned over workers matches the serial sweep point for point,
+        with the same sweep counters."""
+        session = ExperimentSession(TINY)
+        azul = session.placement(MATRIX, "azul")
+        spread = session.placement(MATRIX, "round_robin")
+        points = [
+            {"placement": azul, "multicast": "tree"},
+            {"placement": azul, "multicast": "unicast"},
+            {"placement": azul, "multicast": "tree", "pe": "dalorex"},
+            {"placement": azul, "multicast": "tree"},   # duplicate
+            {"placement": spread, "multicast": "unicast",
+             "pe": "dalorex"},
+        ]
+        runs = {}
+        for jobs in (1, 2):
+            # Each run gets its own empty cache, so both compute.
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / str(jobs)))
+            stats = {}
+            results = simulate_placements(
+                ExperimentSession(TINY), MATRIX, points, check=True,
+                jobs=jobs, stats=stats,
+            )
+            runs[jobs] = (results, stats)
+        (serial, serial_stats), (fanned, fanned_stats) = runs[1], runs[2]
+        assert serial_stats["computed_serial"] == 4
+        assert fanned_stats["computed_parallel"] == 4
+        assert fanned_stats["computed_serial"] == 0
+        for counter in ("computed_parallel", "computed_serial"):
+            serial_stats.pop(counter)
+            fanned_stats.pop(counter)
+        assert serial_stats == fanned_stats == {
+            "points": 5, "unique": 4, "deduplicated": 1,
+            "cache_hits": 0, "worker_failures": 0,
+        }
+        assert fanned[0] is fanned[3]
+        for a, b in zip(serial, fanned):
+            _timings_equal(a, b)
+            assert a.link_activations() == b.link_activations()
+
+    def test_failed_worker_point_falls_back_to_serial(self, fresh_cache):
+        """A point whose worker fails is computed in-process instead;
+        the other points still come from workers."""
+        session = ExperimentSession(TINY)
+        placement = session.placement(MATRIX, "azul")
+        # A payload that cannot be shipped to a worker fails that
+        # point's future, exactly like a crash inside the worker.
+        unshippable = Placement(
+            placement.n_tiles, placement.a_tile, placement.l_tile,
+            placement.vec_tile, mapper=placement.mapper,
+        )
+        unshippable.hook = lambda: None
+        stats = {}
+        tree, unicast = simulate_placements(session, MATRIX, [
+            {"placement": placement, "multicast": "tree"},
+            {"placement": unshippable, "multicast": "unicast"},
+        ], jobs=2, stats=stats)
+        assert stats["worker_failures"] == 1
+        assert stats["computed_parallel"] == 1
+        assert stats["computed_serial"] == 1
+        reference = simulate_placements(
+            ExperimentSession(TINY), MATRIX, [placement],
+            multicast="unicast", jobs=1, use_cache=False,
+        )[0]
+        _timings_equal(unicast, reference)
+        assert unicast.link_activations() > tree.link_activations()
 
     def test_missing_name_raises(self, fresh_cache):
         session = ExperimentSession(TINY)
