@@ -48,7 +48,7 @@ import difflib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -490,33 +490,39 @@ class ExperimentSession:
                 name, mapper, self.config.num_tiles,
                 scale=scale, preset=preset, use_cache=use_cache,
             )
-            result = self.simulate_placed(
-                name, placement, pe, key=key, scale=scale, check=check,
+            result, = self.simulate_placed(
+                name, placement, [(pe, key)], scale=scale, check=check,
                 trace=trace, use_cache=use_cache,
             )
         if trace:
             self._bridge_trace(key, f"{name}/{mapper}", result)
         return result
 
-    def simulate_placed(self, name: str, placement: Placement, pe="azul",
-                        *, key: str, scale: Optional[int] = None,
+    def simulate_placed(self, name: str, placement: Placement,
+                        variants: Sequence[Tuple[Any, str]], *,
+                        scale: Optional[int] = None,
                         multicast: str = "tree", check: bool = True,
                         trace: bool = False,
-                        use_cache: Optional[bool] = None):
-        """Compile, simulate, verify and cache one placed point.
+                        use_cache: Optional[bool] = None) -> list:
+        """Compile, simulate, verify and cache one placement on several PEs.
 
-        The one path from a placement to a simulation result, shared
-        by :meth:`simulate` and both sweep entry points of
-        :mod:`repro.parallel` (in the parent and in workers).  The
-        compiled program goes through the ``programs`` cache; the
-        result is stored under ``key`` (the caller's simulation cache
-        key) unless ``use_cache`` is off.  No lookup happens here:
-        callers short-circuit cache hits before placing anything.
+        The one path from a placement to simulation results, shared by
+        :meth:`simulate` and both sweep entry points of
+        :mod:`repro.parallel` (in the parent and in workers).
+        ``variants`` holds ``(pe, key)`` pairs: a PE (registered name
+        or :class:`~repro.sim.PEModel`) and the simulation cache key
+        its result is stored under unless ``use_cache`` is off.  The
+        compiled program goes through the ``programs`` cache and the
+        PEs are simulated together, kernel-outer
+        (:meth:`~repro.sim.machine.AzulMachine.simulate_variants`).
+        No lookup happens here: callers short-circuit cache hits
+        before placing anything.  Returns the results in variant order.
         """
         use_cache = self.use_cache if use_cache is None else bool(use_cache)
         prepared = self.prepare(name, scale)
-        model = pe if isinstance(pe, PEModel) else pe_model_by_name(pe)
-        machine = AzulMachine(self.config, model)
+        models = [pe if isinstance(pe, PEModel) else pe_model_by_name(pe)
+                  for pe, _ in variants]
+        machine = AzulMachine(self.config, models[0])
         program = compile_pcg_program(
             machine, prepared.matrix, prepared.lower, placement,
             multicast=multicast, cache=self.cache, use_cache=use_cache,
@@ -524,17 +530,19 @@ class ExperimentSession:
         )
         with obs.timer("pipeline.simulate", matrix=name,
                        mapper=placement.mapper,
-                       pe=str(getattr(pe, "name", pe)), trace=trace):
-            result = machine.simulate_iteration(
-                program, p=prepared.b, r=prepared.b,
+                       pe=",".join(model.name for model in models),
+                       trace=trace):
+            results = machine.simulate_variants(
+                program, models, p=prepared.b, r=prepared.b,
                 record_issue_trace=trace,
             )
-        if check:
-            verify_iteration(result, prepared.matrix, prepared.lower,
-                             prepared.b)
-        if use_cache:
-            self.cache.put(SIMULATION_NAMESPACE, key, result, PICKLE)
-        return result
+        for (_, key), result in zip(variants, results):
+            if check:
+                verify_iteration(result, prepared.matrix, prepared.lower,
+                                 prepared.b)
+            if use_cache:
+                self.cache.put(SIMULATION_NAMESPACE, key, result, PICKLE)
+        return results
 
     def simulate_placements(self, name: Optional[str] = None,
                             placements=(), *,

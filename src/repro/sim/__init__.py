@@ -12,8 +12,9 @@ The core is layered (enforced by ``tools/check_layers.py`` and the
 import-linter contract in ``.importlinter``)::
 
     events  — calendar queue + drain loop       (repro.sim.events)
+    tables  — static per-program lookup tables  (repro.sim.tables)
     state   — numeric/functional kernel state   (repro.sim.state)
-    fabric  — NoC links + multicast forwarding  (repro.sim.fabric)
+    fabric  — NoC link contention               (repro.sim.fabric)
     issue   — PE issue model                    (repro.sim.issue)
     engine  — thin composition root             (repro.sim.engine)
 
@@ -46,6 +47,7 @@ from repro.sim.events import EventQueue, drain
 from repro.sim.fabric import FabricModel, LinkFabric
 from repro.sim.issue import BatchedIssue
 from repro.sim.state import KernelState, TileState
+from repro.sim.tables import KernelTables
 from repro.sim.machine import AzulMachine, IterationResult
 from repro.sim.full_solve import FullSolveResult, simulate_full_pcg
 from repro.sim.solver_timing import (
@@ -73,6 +75,7 @@ __all__ = [
     "BatchedIssue",
     "KernelState",
     "TileState",
+    "KernelTables",
     "AzulMachine",
     "IterationResult",
     "FullSolveResult",

@@ -2,26 +2,29 @@
 
 Executes one :class:`~repro.dataflow.ir.CompiledKernel`
 cycle-accurately *and* numerically.  :class:`KernelSimulator` composes
-the simulator layers (``events ← state ← fabric ← issue``, see
-:mod:`repro.sim` and ``docs/simulator.md``) and issues every operation
-through :class:`~repro.sim.issue.BatchedIssue`.
+the simulator layers (``events ← tables ← state ← fabric ← issue``,
+see :mod:`repro.sim` and ``docs/simulator.md``) and issues every
+operation through :class:`~repro.sim.issue.BatchedIssue`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+import repro.obs as obs
 from repro.config import AzulConfig
 from repro.dataflow.ir import CompiledKernel
 from repro.errors import SimulationError
 from repro.sim.events import EV_PUMP, EventQueue, drain
-from repro.sim.fabric import LinkFabric, flatten_multicast_forest
+from repro.sim.fabric import LinkFabric
 from repro.sim.issue import BatchedIssue
 from repro.sim.pe import PEModel
 from repro.sim.state import T_MUL, T_SAAC, T_SEND, KernelState
+from repro.sim.tables import KernelTables
 
 @dataclass
 class KernelResult:
@@ -68,11 +71,18 @@ class KernelResult:
         )
 
 class KernelSimulator:
-    """Simulates one kernel program on the configured machine."""
+    """Simulates one kernel program on the configured machine.
+
+    ``tables`` are the program's static lookup tables; callers that
+    simulate several variants of one program (PE models, timing knobs)
+    build one :class:`~repro.sim.tables.KernelTables` and pass it to
+    each simulator, otherwise the simulator builds its own.
+    """
 
     def __init__(self, program: CompiledKernel, geometry,
                  config: AzulConfig, pe: PEModel,
-                 record_issue_trace: bool = False):
+                 record_issue_trace: bool = False,
+                 tables: Optional[KernelTables] = None):
         self.program = program
         self.geometry = geometry
         self.config = config
@@ -84,73 +94,49 @@ class KernelSimulator:
         self.send_latency = config.sram_access_cycles + 1
         self._ideal = pe.is_ideal
         self.issue = BatchedIssue()
-        # Static structures, built once straight from the program's
-        # flat IR arrays.  Column segments become plain Python lists:
-        # scalar ``rows[pos]`` / ``vals[pos]`` reads are then native
-        # ints/floats.  ``tolist`` preserves the exact IEEE-754 values.
-        rows_list = program.rows.tolist()
-        vals_list = program.values.tolist()
-        seg_ptr = program.seg_ptr.tolist()
-        seg_tile = program.seg_tile.tolist()
-        seg_col = program.seg_col.tolist()
-        segments_by_tile: Dict[int, Dict[int, tuple]] = {}
-        for s in range(len(seg_tile)):
-            lo, hi = seg_ptr[s], seg_ptr[s + 1]
-            segments_by_tile.setdefault(seg_tile[s], {})[seg_col[s]] = (
-                rows_list[lo:hi], vals_list[lo:hi],
+        if tables is None:
+            tables = KernelTables(program, geometry.n_tiles)
+        elif tables.n_tiles != geometry.n_tiles or tables.n != program.n:
+            raise SimulationError(
+                f"{program.name}: tables for {tables.n_tiles} tiles and "
+                f"n={tables.n} do not fit a {geometry.n_tiles}-tile "
+                f"machine running n={program.n}"
             )
-        self._segments = segments_by_tile
-        # Flattened multicast routing (one dict probe per arrival); the
-        # destination payload is the triggered column segment, if any.
-        self._mcast_plan, self.mcast_send = flatten_multicast_forest(
-            program, self._segment_at,
-        )
-        #: Multicast trees per column (0 for home-only columns).
-        self._mcast_count = program.mcast_count.tolist()
-        # Reduction next-hops, flattened to one probe per completion:
-        # ``(row, node) -> parent``.
-        red_parent: Dict[Tuple[int, int], int] = {}
-        red_row = program.red_row.tolist()
-        red_edge_ptr = program.red_edge_ptr.tolist()
-        red_child = program.red_child.tolist()
-        red_parent_arr = program.red_parent.tolist()
-        for t, row in enumerate(red_row):
-            for e in range(red_edge_ptr[t], red_edge_ptr[t + 1]):
-                red_parent[(row, red_child[e])] = red_parent_arr[e]
-        self._red_parent = red_parent
-        self._vec_tile_list = program.vec_tile.tolist()
+        self.tables = tables
+        self.mcast_send = tables.mcast_send
+        self._n_tiles = tables.n_tiles
         # Dummy hazard row (see ``state.TASK_HAZARD``): Sends gate on
         # nothing, so they point at accumulator slot ``n`` which stays
         # 0 forever.
         self._dummy_row = int(program.n)
-
-    def _segment_at(self, node: int, j: int):
-        segments = self._segments.get(node)
-        return None if segments is None else segments.get(j)
 
     # ------------------------------------------------------------------
     def run(self, x=None, b=None) -> KernelResult:
         """Execute the kernel; returns timing, stats, and the output.
 
         ``x`` is the input vector for SpMV; ``b`` the right-hand side
-        for SpTRSV.
+        for SpTRSV.  Emits the ``sim.events`` (events pushed) and
+        ``sim.stale_pumps`` (pumps the drain loop dropped) counters
+        once per run.
         """
         program = self.program
         n = program.n
         config = self.config
-        self.events = EventQueue()
+        tables = self.tables
+        self.events = events = EventQueue()
+        self._heap = events.heap
+        self._seq = events.seq
         self.state = KernelState(
-            n, program.local_tiles, program.local_counts,
+            n, tables.local, tables.remaining,
             config.msg_buffer_entries, 2 * config.sram_access_cycles,
         )
-        self.fabric = LinkFabric(self.events, config.hop_cycles)
+        self.fabric = LinkFabric(events, config.hop_cycles)
         self.issue_trace = [] if self.record_issue_trace else None
         self._b = None if b is None else np.asarray(b, dtype=np.float64)
         self._x = (
             np.asarray(x, dtype=np.float64) if x is not None
             else np.zeros(n)
         )
-        self.state.init_node_remaining(program)
         self.issue.bind(self)
         try:
             if program.dependent:
@@ -161,12 +147,14 @@ class KernelSimulator:
                 if x is None:
                     raise SimulationError("SpMV simulation requires x")
                 self._init_spmv()
-            drain(self.events, self.issue.pump, self._handle_mcast,
-                  self._handle_partial)
+            stale = drain(events, self.issue.pump, self._handle_mcast,
+                          self._handle_partial, self.state.tiles)
         finally:
             # ``bind`` stored this simulator's bound methods on the
             # issue model; unbinding breaks that reference cycle.
             self.issue.unbind()
+        obs.counter("sim.events", events.pushed())
+        obs.counter("sim.stale_pumps", stale)
 
         state = self.state
         if state.rows_done != n:
@@ -202,41 +190,45 @@ class KernelSimulator:
     # ------------------------------------------------------------------
     # Initialization
     # ------------------------------------------------------------------
+    def _enqueue_value(self, home: int, col: int, value: float,
+                       time: int) -> None:
+        """Queue the home-tile work a produced ``value`` of ``col``
+        triggers: its local column segment and one Send per tree."""
+        tables = self.tables
+        enqueue = self.state.enqueue
+        segment = tables.segments.get(col * self._n_tiles + home)
+        if segment is not None:
+            rows = segment[0]
+            enqueue(home, [time, T_SAAC, rows, segment[1], value, 0,
+                           rows[0]])
+        first = tables.mcast_first[col]
+        for t in range(first, first + tables.mcast_count[col]):
+            enqueue(home, [time, T_SEND, ("mcast", t, value), 0, 0, 0,
+                           self._dummy_row])
+
     def _init_spmv(self) -> None:
         """Distribute input-vector values at time zero (SendV tasks)."""
-        program = self.program
-        state = self.state
-        enqueue = state.enqueue
-        vec_tile = self._vec_tile_list
-        x = self._x
-        dummy = self._dummy_row
-        for j in range(program.n):
-            home = vec_tile[j]
-            value = float(x[j])
-            segment = self._segment_at(home, j)
-            if segment is not None:
-                enqueue(home, [0, T_SAAC, segment[0], segment[1],
-                               value, 0, segment[0][0]])
-            for tree_index in range(self._mcast_count[j]):
-                enqueue(home, [0, T_SEND, ("mcast", j, value, tree_index),
-                               0, 0, 0, dummy])
+        vec_tile = self.tables.vec_tile
+        x = self._x.tolist()
+        for j, home in enumerate(vec_tile):
+            self._enqueue_value(home, j, x[j], 0)
         # Rows with no pending inputs complete immediately (y_i = 0 or
         # purely-local rows start from their FMACs).
-        node_remaining = state.node_remaining
-        for i in range(program.n):
-            if node_remaining[(i, vec_tile[i])] == 0:
+        remaining = self.tables.remaining
+        T = self._n_tiles
+        for i, home in enumerate(vec_tile):
+            if remaining[i * T + home] == 0:
                 self._row_complete(i, 0)
         self._flush_pumps()
 
     def _init_sptrsv(self) -> None:
         """Schedule dependence-free rows for solving at time zero."""
-        program = self.program
-        node_remaining = self.state.node_remaining
-        vec_tile = self._vec_tile_list
-        for i in range(program.n):
-            home = vec_tile[i]
-            if node_remaining[(i, home)] == 0:
-                self.state.enqueue(home, [0, T_MUL, i, 0, 0, 0, i])
+        remaining = self.tables.remaining
+        enqueue = self.state.enqueue
+        T = self._n_tiles
+        for i, home in enumerate(self.tables.vec_tile):
+            if remaining[i * T + home] == 0:
+                enqueue(home, [0, T_MUL, i, 0, 0, 0, i])
         self._flush_pumps()
 
     def _flush_pumps(self) -> None:
@@ -255,7 +247,7 @@ class KernelSimulator:
         nxt = tile.next_pump
         if nxt is None or time < nxt:
             tile.next_pump = time
-            self.events.push(time, EV_PUMP, tile_id)
+            heappush(self._heap, (time, next(self._seq), EV_PUMP, tile_id))
 
     def _enqueue_and_pump(self, tile_id: int, task: list,
                           time: int) -> None:
@@ -266,21 +258,21 @@ class KernelSimulator:
         nxt = tile.next_pump
         if nxt is None or time < nxt:
             tile.next_pump = time
-            self.events.push(time, EV_PUMP, tile_id)
+            heappush(self._heap, (time, next(self._seq), EV_PUMP, tile_id))
 
     def _handle_mcast(self, payload, time: int) -> None:
         """A multicast value reached a node: forward and trigger work."""
-        node, j, value, tree_index = payload
-        children, segment = self._mcast_plan[(j, tree_index, node)]
+        node, t, value = payload
+        children, segment = self.tables.mcast_plan[t * self._n_tiles + node]
         if children:
             traverse = self.fabric.traverse
             for child in children:
                 traverse(node, child, time, 1,  # EV_MCAST
-                         (child, j, value, tree_index))
+                         (child, t, value))
         if segment is not None:
+            rows = segment[0]
             self._enqueue_and_pump(
-                node, [time, T_SAAC, segment[0], segment[1], value, 0,
-                       segment[0][0]],
+                node, [time, T_SAAC, rows, segment[1], value, 0, rows[0]],
                 time,
             )
 
@@ -291,30 +283,32 @@ class KernelSimulator:
                                time)  # T_ADD
 
     def _node_input_done(self, row: int, node: int, time: int) -> None:
-        """One expected input of reduction node ``(row, node)`` merged."""
-        state = self.state
-        remaining_map = state.node_remaining
-        key = (row, node)
+        """One expected input of reduction node ``(row, node)`` merged.
+
+        Only the issue model calls this, right after issuing at
+        ``node``, so the node's tile state exists.
+        """
+        remaining_map = self.state.remaining
+        key = row * self._n_tiles + node
         remaining = remaining_map[key] - 1
         remaining_map[key] = remaining
         if remaining > 0:
             return
-        home = self._vec_tile_list[row]
-        if node == home:
+        if node == self.tables.vec_tile[row]:
             self._row_complete(row, time)
         else:
-            parent = self._red_parent[(row, node)]
-            tile = state.tiles.get(node)
-            value = 0.0 if tile is None else tile.partial[row]
+            tile = self.state.tiles[node]
+            parent = self.tables.red_parent[key]
             self._enqueue_and_pump(
-                node, [time, T_SEND, ("partial", row, value, parent),
+                node, [time, T_SEND, ("partial", row, tile.partial[row],
+                                      parent),
                        0, 0, 0, self._dummy_row],
                 time,
             )
 
     def _row_complete(self, row: int, time: int) -> None:
         """All of row ``row``'s inputs reached its home tile."""
-        home = self._vec_tile_list[row]
+        home = self.tables.vec_tile[row]
         state = self.state
         if self.program.dependent:
             self._enqueue_and_pump(home, [time, T_MUL, row, 0, 0, 0, row],
@@ -337,12 +331,5 @@ class KernelSimulator:
         value = float((self._b[row] - acc) * program.inv_diag[row])
         state.output[row] = value
         state.rows_done += 1
-        segment = self._segment_at(home, row)
-        if segment is not None:
-            state.enqueue(home, [completion, T_SAAC, segment[0],
-                                 segment[1], value, 0, segment[0][0]])
-        for tree_index in range(self._mcast_count[row]):
-            state.enqueue(home, [completion, T_SEND,
-                                 ("mcast", row, value, tree_index),
-                                 0, 0, 0, self._dummy_row])
+        self._enqueue_value(home, row, value, completion)
         self._schedule_pump(home, completion)

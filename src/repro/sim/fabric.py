@@ -4,10 +4,11 @@ Two views of the same fabric:
 
 * :class:`LinkFabric` — the *dynamic* per-run state: flit
   serialization on directed links (one flit per link per cycle),
-  queueing delay, per-link activation counts, and the flattened
-  multicast-forwarding plan.  Works over any geometry (torus or mesh);
-  the geometry is baked into the trees at program-build time, so the
-  fabric itself only sees tile ids.
+  queueing delay and per-link activation counts.  Works over any
+  geometry (torus or mesh): the geometry is baked into the trees at
+  program-build time and the per-arrival forwarding plan is one of the
+  kernel's static tables (:class:`~repro.sim.tables.KernelTables`), so
+  the fabric itself only sees tile ids.
 * :class:`FabricModel` — the *static* tree/link API consumed by the
   machine model, solver timing, and ``repro.core.traffic``: multicast
   and reduction trees, hop distances, and link enumeration over a
@@ -21,18 +22,14 @@ issue layer or the composition root.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from heapq import heappush
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.comm.multicast import MulticastTree, build_multicast_tree
 from repro.comm.reduction import ReductionTree, build_reduction_tree
 from repro.sim.events import EventQueue
 
 Link = Tuple[int, int]
-
-#: Flattened multicast step: children to fork to, plus an opaque
-#: destination payload (the engine stores the triggered column segment
-#: there; the fabric never interprets it).
-McastStep = Tuple[Tuple[int, ...], Any]
 
 
 class LinkFabric:
@@ -47,10 +44,13 @@ class LinkFabric:
     """
 
     __slots__ = ("events", "hop_cycles", "link_free", "per_link",
-                 "link_count", "queue_delay", "last_arrival")
+                 "link_count", "queue_delay", "last_arrival", "_heap",
+                 "_seq")
 
     def __init__(self, events: EventQueue, hop_cycles: int) -> None:
         self.events = events
+        self._heap = events.heap
+        self._seq = events.seq
         self.hop_cycles = hop_cycles
         self.link_free: Dict[Link, int] = {}
         self.per_link: Dict[Link, int] = {}
@@ -75,98 +75,10 @@ class LinkFabric:
         per_link[link] = per_link.get(link, 0) + 1
         self.link_count += 1
         arrival = depart + self.hop_cycles
-        self.events.push(arrival, event_kind, payload)
+        heappush(self._heap, (arrival, next(self._seq), event_kind,
+                              payload))
         if arrival > self.last_arrival:
             self.last_arrival = arrival
-
-
-def flatten_multicast_plan(
-    mcast_trees: Dict[int, Tuple[MulticastTree, ...]],
-    payload_at: Callable[[int, int], Any],
-) -> Tuple[Dict[Tuple[int, int, int], McastStep],
-           Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]]]:
-    """Flatten multicast trees into O(1) per-arrival lookup tables.
-
-    Returns ``(plan, send_plan)``:
-
-    * ``plan[(j, tree_index, node)] = (children, payload)`` — the
-      router-side fork at ``node`` plus, when ``node`` is a
-      destination, ``payload_at(node, j)`` (e.g. the column segment
-      the arrival triggers; ``None`` elsewhere).
-    * ``send_plan[(j, tree_index)] = (root, root_children)`` — the
-      fork a Send op performs at the tree root.
-
-    One dict probe then replaces the tree-attribute chase, set
-    membership test, and nested segment lookup per arrival.
-    """
-    plan: Dict[Tuple[int, int, int], McastStep] = {}
-    send_plan: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
-    for j, trees in mcast_trees.items():
-        for tree_index, tree in enumerate(trees):
-            nodes = set(tree.children)
-            for childs in tree.children.values():
-                nodes.update(childs)
-            nodes.add(tree.root)
-            for node in nodes:
-                payload = None
-                if node in tree.destinations:
-                    payload = payload_at(node, j)
-                plan[(j, tree_index, node)] = (
-                    tuple(tree.children.get(node, ())), payload,
-                )
-            send_plan[(j, tree_index)] = (
-                tree.root, tuple(tree.children.get(tree.root, ())),
-            )
-    return plan, send_plan
-
-
-def flatten_multicast_forest(
-    program,
-    payload_at: Callable[[int, int], Any],
-) -> Tuple[Dict[Tuple[int, int, int], McastStep],
-           Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]]]:
-    """Flatten a compiled kernel's multicast forest into lookup tables.
-
-    The flat-array counterpart of :func:`flatten_multicast_plan`:
-    reads the :class:`~repro.dataflow.ir.CompiledKernel` forest arrays
-    (``mcast_col``/``mcast_root``/``mcast_edge_ptr``/…) directly, so
-    no per-tree objects are materialized.  Returns the same
-    ``(plan, send_plan)`` tables keyed ``(col, tree_index, node)`` /
-    ``(col, tree_index)``.
-
-    Children fork in sorted-edge order (the canonical form the
-    lowering emits), which is deterministic and engine-independent.
-    """
-    plan: Dict[Tuple[int, int, int], McastStep] = {}
-    send_plan: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
-    mcast_col = program.mcast_col.tolist()
-    mcast_root = program.mcast_root.tolist()
-    mcast_first = program.mcast_first
-    edge_ptr = program.mcast_edge_ptr.tolist()
-    parents = program.mcast_parent.tolist()
-    child_arr = program.mcast_child.tolist()
-    dst_ptr = program.mcast_dst_ptr.tolist()
-    dsts = program.mcast_dst.tolist()
-    for t in range(len(mcast_col)):
-        j = mcast_col[t]
-        tree_index = t - int(mcast_first[j])
-        root = mcast_root[t]
-        children: Dict[int, List[int]] = {}
-        nodes = {root}
-        for e in range(edge_ptr[t], edge_ptr[t + 1]):
-            children.setdefault(parents[e], []).append(child_arr[e])
-            nodes.add(child_arr[e])
-            nodes.add(parents[e])
-        destinations = set(dsts[dst_ptr[t]:dst_ptr[t + 1]])
-        for node in nodes:
-            payload = payload_at(node, j) if node in destinations else None
-            plan[(j, tree_index, node)] = (
-                tuple(children.get(node, ())), payload,
-            )
-        send_plan[(j, tree_index)] = (
-            root, tuple(children.get(root, ())),
-        )
-    return plan, send_plan
 
 
 class FabricModel:

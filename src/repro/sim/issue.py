@@ -20,7 +20,8 @@ but never the engine composition root.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from heapq import heappush
+from typing import Any, Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -49,7 +50,10 @@ class IssueCore(Protocol):
     alu_latency: int
     send_latency: int
     issue_trace: Optional[List[Tuple[int, int, int]]]
-    mcast_send: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]]
+    #: ``mcast_send[t] = (root, root_children)`` per global multicast
+    #: tree ``t`` (``KernelTables.mcast_send``); a multicast Send task
+    #: carries ``("mcast", t, value)``.
+    mcast_send: List[Tuple[int, Tuple[int, ...]]]
 
     @property
     def pe(self) -> Any: ...
@@ -62,8 +66,9 @@ class BatchedIssue:
     """Run-granularity issue: batches column-segment runs exactly.
 
     ``bind`` captures per-run references from the composition root;
-    ``pump(tile_id, now)`` then services one PUMP event (including the
-    stale-pump filter).  The model keeps no cross-run state.
+    ``pump(tile_id, now)`` then services one live PUMP event (the drain
+    loop has already dropped stale ones).  The model keeps no cross-run
+    state.
 
     Exactness argument (mirrored by ``tests/test_engine_equivalence.py``):
 
@@ -99,6 +104,8 @@ class BatchedIssue:
         self.state = core.state
         self.tiles = core.state.tiles
         self.events = core.events
+        self.heap = core.events.heap
+        self.seq = core.events.seq
         self.traverse = core.fabric.traverse
         self.trace = core.issue_trace
         self.mcast_send = core.mcast_send
@@ -156,13 +163,13 @@ class BatchedIssue:
             if completion > state.end_time:
                 state.end_time = completion
             if payload[0] == "mcast":
-                _, j, value, tree_index = payload
-                root, children = self.mcast_send[(j, tree_index)]
+                _, t, value = payload
+                root, children = self.mcast_send[t]
                 if children:
                     traverse = self.traverse
                     for child in children:
                         traverse(root, child, completion, EV_MCAST,
-                                 (child, j, value, tree_index))
+                                 (child, t, value))
             else:
                 _, row, value, parent = payload
                 self.traverse(tile_id, parent, completion,
@@ -177,22 +184,12 @@ class BatchedIssue:
         here; runs that can batch further go through ``_saac_batch``.
         """
         tile = self.tiles[tile_id]
-        if tile.next_pump != now:
-            return  # stale: a different pump is now scheduled
         tile.next_pump = None
         ideal = self.ideal
         limit = self.limit
-        ic = self.ic
-        alu = self.alu_latency
-        eq = self.events
-        heap = eq.heap
-        state = self.state
+        heap = self.heap
         acc = tile.acc_ready
         tasks = tile.tasks
-        partial = tile.partial
-        local_rem = tile.local_rem
-        op_counts = tile.op_counts
-        trace = self.trace
         while True:
             n_tasks = len(tasks)
             if not n_tasks:
@@ -207,24 +204,35 @@ class BatchedIssue:
             # drop below ``pe_time``) and the scan short-circuits.
             pe_time = tile.pe_time
             best_index = 0
-            best_ready = NEVER
-            index = 0
-            for task in tasks if window == n_tasks else tasks[:window]:
-                # Branch-free hazard read: slot ``TASK_HAZARD`` always
-                # names the row whose accumulator gates the task's
-                # current op (Sends name the dummy row, stuck at 0).
+            if window == 1:
+                # One candidate (a single-context PE or a lone task):
+                # the scan below reduces to its ready time.
+                task = tasks[0]
                 m = acc[task[6]]
                 t = task[0]
                 if t > m:
                     m = t
-                if m <= pe_time:
-                    best_index = index
-                    best_ready = pe_time
-                    break
-                if m < best_ready:
-                    best_ready = m
-                    best_index = index
-                index += 1
+                best_ready = pe_time if m <= pe_time else m
+            else:
+                best_ready = NEVER
+                index = 0
+                for task in tasks if window == n_tasks else tasks[:window]:
+                    # Branch-free hazard read: slot ``TASK_HAZARD``
+                    # always names the row whose accumulator gates the
+                    # task's current op (Sends name the dummy row,
+                    # stuck at 0).
+                    m = acc[task[6]]
+                    t = task[0]
+                    if t > m:
+                        m = t
+                    if m <= pe_time:
+                        best_index = index
+                        best_ready = pe_time
+                        break
+                    if m < best_ready:
+                        best_ready = m
+                        best_index = index
+                    index += 1
             best_time = best_ready
             if best_time > now:
                 if best_time >= h:
@@ -233,7 +241,8 @@ class BatchedIssue:
                     nxt = tile.next_pump
                     if nxt is None or best_time < nxt:
                         tile.next_pump = best_time
-                        eq.push(best_time, EV_PUMP, tile_id)
+                        heappush(heap, (best_time, next(self.seq), EV_PUMP,
+                                        tile_id))
                     return
                 # Fast-forward: nothing can intervene.  The per-op
                 # model would push a pump at best_time and pop it
@@ -242,6 +251,8 @@ class BatchedIssue:
                 tile.next_pump = None
             task = tasks[best_index]
             if task[1] == 0:  # T_SAAC
+                ic = self.ic
+                local_rem = tile.local_rem
                 rows = task[2]
                 pos = task[5]
                 row0 = rows[pos]
@@ -288,14 +299,14 @@ class BatchedIssue:
                                 return
                             continue
                 # -- single-op issue, fully inline ---------------------
-                completion = best_time + alu
+                completion = best_time + self.alu_latency
                 acc[row0] = completion
-                partial[row0] += task[4] * task[3][pos]
+                tile.partial[row0] += task[4] * task[3][pos]
                 local_rem[row0] -= 1
-                op_counts[0] += 1
+                tile.op_counts[0] += 1
                 tile.busy += ic
-                if trace is not None:
-                    trace.append((best_time, tile_id, 0))
+                if self.trace is not None:
+                    self.trace.append((best_time, tile_id, 0))
                 if p1 >= len(rows):
                     del tasks[best_index]
                 else:
@@ -304,6 +315,7 @@ class BatchedIssue:
                 if not ideal:
                     pe_time = best_time + ic
                     tile.pe_time = pe_time
+                state = self.state
                 if completion > state.end_time:
                     state.end_time = completion
                 if trigger:
@@ -328,7 +340,8 @@ class BatchedIssue:
                 nxt = tile.next_pump
                 if nxt is None or pe_time < nxt:
                     tile.next_pump = pe_time
-                    eq.push(pe_time, EV_PUMP, tile_id)
+                    heappush(heap, (pe_time, next(self.seq), EV_PUMP,
+                                    tile_id))
                 return
             # The per-op model would push a pump at pe_time and pop it
             # right back (strictly before any event): continue inline
@@ -452,13 +465,12 @@ class BatchedIssue:
         pe_time = tile.pe_time
         if not tile.tasks:
             return pe_time  # pump loop exits without scheduling
-        eq = self.events
-        heap = eq.heap
+        heap = self.heap
         if heap and heap[0][0] <= pe_time:
             nxt = tile.next_pump
             if nxt is None or pe_time < nxt:
                 tile.next_pump = pe_time
-                eq.push(pe_time, EV_PUMP, tile_id)
+                heappush(heap, (pe_time, next(self.seq), EV_PUMP, tile_id))
             return -1
         tile.next_pump = None
         return pe_time

@@ -11,7 +11,7 @@ steady-state methodology the paper uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.errors import SimulationError
 from repro.sim.engine import KernelResult, KernelSimulator
 from repro.sim.fabric import FabricModel
 from repro.sim.pe import AZUL_PE, PEModel
+from repro.sim.tables import KernelTables
 from repro.sparse.csr import CSRMatrix
 
 
@@ -137,28 +138,56 @@ class AzulMachine:
         The numeric outputs are returned inside the kernel results so
         callers can verify them against the reference kernels.  With
         ``record_issue_trace`` each kernel result carries its per-op
-        issue log (see :mod:`repro.sim.trace`).
+        issue log (see :mod:`repro.sim.trace`).  The one-PE case of
+        :meth:`simulate_variants`.
         """
-        record = record_issue_trace
-        spmv_result = self.run_kernel(program.spmv, x=p,
-                                      record_issue_trace=record)
-        forward_result = self.run_kernel(program.sptrsv_lower, b=r,
-                                         record_issue_trace=record)
-        backward_result = self.run_kernel(
-            program.sptrsv_upper, b=forward_result.output,
-            record_issue_trace=record,
-        )
+        return self.simulate_variants(
+            program, [self.pe], p, r, record_issue_trace=record_issue_trace,
+        )[0]
+
+    def simulate_variants(self, program: PCGIterationProgram,
+                          pes: Sequence[PEModel], p: np.ndarray,
+                          r: np.ndarray, record_issue_trace: bool = False
+                          ) -> List[IterationResult]:
+        """Simulate one PCG iteration of ``program`` on each PE model.
+
+        Element ``k`` equals ``simulate_iteration`` on a machine with
+        ``pes[k]``, bit for bit.  The loop is kernel-outer: SpMV on
+        every PE, then the forward SpTRSV, then the backward SpTRSV on
+        each PE's own forward output, so each kernel's static
+        :class:`~repro.sim.tables.KernelTables` is built once and only
+        one kernel's tables are alive at a time.
+        """
+        geometry = self.fabric.geometry
+        config = self.config
+
+        def run_all(kernel, inputs, arg):
+            tables = KernelTables(kernel, geometry.n_tiles)
+            return [
+                KernelSimulator(
+                    kernel, geometry, config, pe,
+                    record_issue_trace=record_issue_trace, tables=tables,
+                ).run(**{arg: vector})
+                for pe, vector in zip(pes, inputs)
+            ]
+
+        spmv = run_all(program.spmv, [p] * len(pes), "x")
+        forward = run_all(program.sptrsv_lower, [r] * len(pes), "b")
+        backward = run_all(program.sptrsv_upper,
+                           [result.output for result in forward], "b")
         vector_cycles = program.vector_phase.cycles()
-        kernel_results = [spmv_result, forward_result, backward_result]
-        total = sum(k.cycles for k in kernel_results) + vector_cycles
-        return IterationResult(
-            kernel_results=kernel_results,
-            vector_cycles=vector_cycles,
-            total_cycles=total,
-            flops_per_iteration=program.flops_per_iteration(),
-            config=self.config,
-            vector_ops=program.vector_phase.op_counts(program.n),
-        )
+        results = []
+        for kernel_results in zip(spmv, forward, backward):
+            total = sum(k.cycles for k in kernel_results) + vector_cycles
+            results.append(IterationResult(
+                kernel_results=list(kernel_results),
+                vector_cycles=vector_cycles,
+                total_cycles=total,
+                flops_per_iteration=program.flops_per_iteration(),
+                config=config,
+                vector_ops=program.vector_phase.op_counts(program.n),
+            ))
+        return results
 
     def simulate_pcg(self, matrix: CSRMatrix, lower: CSRMatrix,
                      placement: Placement, b: np.ndarray,

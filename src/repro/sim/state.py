@@ -8,13 +8,14 @@ state but the numeric semantics — which IEEE-754 operations run, in
 which order — are defined here once, so functional correctness cannot
 diverge between issue models.
 
-Layer contract: ``state`` sits directly above ``events`` and imports
-nothing else from :mod:`repro.sim`.
+Layer contract: ``state`` sits above ``events`` and ``tables`` and
+imports nothing from :mod:`repro.sim`; the static counters it copies
+arrive as plain arrays and dicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,8 +47,9 @@ class TileState:
     extra slot: row ``n`` is the *dummy hazard row* named by Send
     tasks' ``TASK_HAZARD`` field; it is never written, so
     ``acc_ready[task[6]]`` is branch-free across task kinds.
-    ``local_rem`` mirrors ``program.local_counts`` for this tile
-    (``None`` when the tile holds no matrix nonzeros).
+    ``local_rem`` (FMACs still to apply per row) is this run's copy of
+    the tile's static local counts (``None`` when the tile holds no
+    matrix nonzeros).
     """
 
     __slots__ = (
@@ -73,19 +75,26 @@ class KernelState:
     vector, spill accounting for the message buffer, and the running
     compute-completion time.  The composition root creates one per
     :meth:`~repro.sim.engine.KernelSimulator.run`.
+
+    ``local`` and ``remaining`` are the kernel's static counters (see
+    :class:`~repro.sim.tables.KernelTables`): ``local[tile]`` a
+    tile's per-row FMAC counts as an integer array (``None`` for tiles
+    without nonzeros), copied to a list when the tile is first touched;
+    ``remaining`` the expected inputs keyed ``row * n_tiles + node``,
+    copied once here.  Neither static table is ever written.
     """
 
     __slots__ = (
-        "n", "tiles", "node_remaining", "rows_done", "output",
-        "spills", "end_time", "msg_buffer_entries", "spill_penalty",
-        "local_by_tile",
+        "n", "tiles", "remaining", "rows_done", "output", "spills",
+        "end_time", "msg_buffer_entries", "spill_penalty", "local",
     )
 
-    def __init__(self, n: int, local_tiles, local_counts,
-                 msg_buffer_entries: int, spill_penalty: int) -> None:
+    def __init__(self, n: int, local: Sequence[Optional[np.ndarray]],
+                 remaining: Dict[int, int], msg_buffer_entries: int,
+                 spill_penalty: int) -> None:
         self.n = n
         self.tiles: Dict[int, TileState] = {}
-        self.node_remaining: Dict[Tuple[int, int], int] = {}
+        self.remaining = dict(remaining)
         self.rows_done = 0
         self.output = np.zeros(n)
         self.spills = 0
@@ -95,22 +104,16 @@ class KernelState:
         self.end_time = 0
         self.msg_buffer_entries = msg_buffer_entries
         self.spill_penalty = spill_penalty
-        # ``local_tiles``/``local_counts`` are the program's dense
-        # per-(tile, row) FMAC counters (``local_counts[p]`` is the
-        # row vector of tile ``local_tiles[p]``).  Each tile's counts
-        # become a plain Python list: the issue loops decrement with
-        # scalar list indexing.
-        self.local_by_tile: Dict[int, List[int]] = {
-            int(tile): np.asarray(counts).tolist()
-            for tile, counts in zip(local_tiles, local_counts)
-        }
+        self.local = local
 
     # ------------------------------------------------------------------
     def tile(self, tile_id: int) -> TileState:
         """The tile's state, created on first touch."""
         tile = self.tiles.get(tile_id)
         if tile is None:
-            tile = TileState(self.n, self.local_by_tile.get(tile_id))
+            local = self.local[tile_id]
+            tile = TileState(self.n,
+                             None if local is None else local.tolist())
             self.tiles[tile_id] = tile
         return tile
 
@@ -122,7 +125,9 @@ class KernelState:
         into the Data SRAM: the spill is counted and the task's start
         is delayed by one SRAM round trip (Sec. V-A).
         """
-        tile = self.tile(tile_id)
+        tile = self.tiles.get(tile_id)
+        if tile is None:
+            tile = self.tile(tile_id)
         tasks = tile.tasks
         if len(tasks) >= self.msg_buffer_entries:
             self.spills += 1
@@ -136,44 +141,6 @@ class KernelState:
         return 0.0 if tile is None else tile.partial[row]
 
     # ------------------------------------------------------------------
-    def init_node_remaining(self, program) -> None:
-        """Expected inputs at every reduction-tree node and every home.
-
-        ``program`` is duck-typed (a
-        :class:`~repro.dataflow.ir.CompiledKernel`); the state layer
-        reads only ``n``, ``vec_tile``, the flat reduction-forest
-        arrays (``red_index``/``red_edge_ptr``/``red_child``/
-        ``red_parent``), and the dense local counters mirrored in
-        :attr:`local_by_tile`.
-        """
-        node_remaining = self.node_remaining
-        local_by_tile = self.local_by_tile
-        vec_tile = program.vec_tile.tolist()
-        red_index = program.red_index.tolist()
-        edge_ptr = program.red_edge_ptr.tolist()
-        red_child = program.red_child.tolist()
-        red_parent = program.red_parent.tolist()
-        for i in range(program.n):
-            home = vec_tile[i]
-            tree = red_index[i]
-            if tree < 0:
-                rem = local_by_tile.get(home)
-                node_remaining[(i, home)] = (
-                    1 if rem is not None and rem[i] > 0 else 0
-                )
-                continue
-            children: Dict[int, int] = {}
-            nodes = {home}
-            for e in range(edge_ptr[tree], edge_ptr[tree + 1]):
-                children[red_parent[e]] = children.get(red_parent[e], 0) + 1
-                nodes.add(red_child[e])
-            for node in nodes:
-                expected = children.get(node, 0)
-                rem = local_by_tile.get(node)
-                if rem is not None and rem[i] > 0:
-                    expected += 1
-                node_remaining[(i, node)] = expected
-
     def op_totals(self) -> Tuple[List[int], int]:
         """``([fmac, add, mul, send] totals, busy-slot total)``."""
         totals = [0, 0, 0, 0]

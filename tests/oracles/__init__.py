@@ -7,6 +7,9 @@ equal to them:
 
 * :mod:`tests.oracles.issue` — the per-op PE issue model
   (``PerOpIssue``) and a ``KernelSimulator`` subclass that uses it;
+* :mod:`tests.oracles.tables` — the tuple-keyed multicast-plan,
+  reduction-parent and remaining-input builders the simulator's
+  integer-keyed ``KernelTables`` replaced;
 * :mod:`tests.oracles.refine` — the recompute-from-scratch FM
   bookkeeping (``ReferenceBisectionState``);
 * :mod:`tests.oracles.lowering` — the per-element dataflow lowering

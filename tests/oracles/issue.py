@@ -44,10 +44,12 @@ class PerOpIssue(BatchedIssue):
         return hazard if hazard > ready else ready
 
     def pump(self, tile_id: int, now: int) -> None:
-        """Issue every operation that can start at ``now``."""
+        """Issue every operation that can start at ``now``.
+
+        Like the production model it only sees live pumps: the shared
+        drain loop drops stale ones.
+        """
         tile = self.tiles[tile_id]
-        if tile.next_pump != now:
-            return  # stale: a different pump is now scheduled
         tile.next_pump = None
         ideal = self.ideal
         limit = self.limit

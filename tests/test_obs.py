@@ -350,3 +350,49 @@ class TestPipelineIntegration:
         assert misses >= 1
         # Second simulate short-circuits in some cache tier.
         assert hits >= 1
+
+
+class TestSimulatorCounters:
+    """``sim.events`` / ``sim.stale_pumps``: one add per kernel run."""
+
+    def _run(self, monkeypatch):
+        import heapq
+
+        import numpy as np
+
+        from repro.comm import TorusGeometry
+        from repro.core import map_round_robin
+        from repro.dataflow import build_spmv_program
+        from repro.precond import ic0
+        from repro.sim import AZUL_PE, KernelSimulator
+        from repro.sparse import generators as gen
+
+        matrix = gen.random_spd(60, nnz_per_row=6, seed=2)
+        placement = map_round_robin(matrix, ic0(matrix), 16)
+        torus = TorusGeometry(4, 4)
+        program = build_spmv_program(matrix, placement.a_tile,
+                                     placement.vec_tile, torus)
+        pops = []
+        real_pop = heapq.heappop
+
+        def counting_pop(heap):
+            pops.append(1)
+            return real_pop(heap)
+
+        monkeypatch.setattr(heapq, "heappop", counting_pop)
+        KernelSimulator(program, torus, AzulConfig(mesh_rows=4,
+                                                   mesh_cols=4),
+                        AZUL_PE).run(x=np.ones(60))
+        return len(pops)
+
+    def test_counts_every_event_and_the_stale_pumps(self, monkeypatch):
+        obs.enable(metrics=True, tracing=False)
+        popped = self._run(monkeypatch)
+        counters = obs.snapshot()["counters"]
+        # The run drains its heap, so every pushed event was popped.
+        assert counters["sim.events"] == popped > 0
+        assert 0 < counters["sim.stale_pumps"] < counters["sim.events"]
+
+    def test_silent_when_disabled(self, monkeypatch):
+        assert self._run(monkeypatch) > 0
+        assert obs.snapshot()["counters"] == {}

@@ -7,8 +7,9 @@ checkable offline and in the test suite with nothing but the standard
 library:
 
 1. **Simulator-core layering** — within ``repro.sim`` the layers
-   ``events <- state <- fabric <- issue <- engine`` may only depend
-   downward (``engine`` sees everything, ``events`` sees nothing).
+   ``events <- tables <- state <- fabric <- issue <- engine`` may only
+   depend downward (``engine`` sees everything, ``events`` sees
+   nothing).
 2. **Hypergraph layering** — within ``repro.hypergraph`` the layers
    ``hgraph <- metrics <- rebalance <- coarsen <- initial <- refine
    <- partitioner`` may only depend downward.
@@ -71,7 +72,7 @@ Layer = Union[str, List[str]]
 #: Bottom-up layer order per layered package.  Within a package a
 #: module may import only itself and strictly lower layers.
 LAYERED_PACKAGES: Dict[str, List[Layer]] = {
-    "repro.sim": ["events", "state", "fabric", "issue", "engine"],
+    "repro.sim": ["events", "tables", "state", "fabric", "issue", "engine"],
     "repro.dataflow": [
         "messages", "tasks", "ir", "lower", "kernel_program",
         [  # sibling group: independent program builders over the IR
